@@ -292,6 +292,10 @@ def cmd_corpus(args) -> int:
     backend = build_backend(cfg)
     fold_map = _load_fold(cfg)
     schema = dict(corpus.DEFAULT_SCHEMA) | cfg.schema
+    summary_path = args.summary or (args.output + ".summary.json")
+    for path in map(Path, (args.output, summary_path)):  # fail before any conversion work
+        if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}")
 
     row_errors: list = []
     try:
@@ -315,14 +319,15 @@ def cmd_corpus(args) -> int:
     elapsed = time.perf_counter() - started
     if args.sort_by_age:
         converted = corpus.sort_by_age(converted)
-    corpus.write_corpus(converted, args.output, schema=schema)
-
     payload = summary.to_json()
     payload["skipped_rows"] = len(row_errors)
     payload["seconds"] = round(elapsed, 3)
-    summary_path = args.summary or (args.output + ".summary.json")
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
+    try:
+        corpus.write_corpus(converted, args.output, schema=schema)
+        with open(summary_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, ensure_ascii=False, indent=2)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"{summary.rows} rows, {summary.errors} errors", file=sys.stderr)
     return 1 if summary.errors or row_errors else 0
 
@@ -478,16 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``| head``); send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PhonofoldError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, FormatError)) else 1
 
 
 if __name__ == "__main__":

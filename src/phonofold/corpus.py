@@ -171,16 +171,16 @@ def _convert_one(
     backend,
     fold_map: FoldMap | None,
     keep_word_boundaries: bool,
-    uncorrected: bool,
 ):
     try:
         # Streams are built with word boundaries so folding never matches
         # across words; the caller's flag only controls emission.
         stream, unmapped = convert_utterance(backend, record.gloss, keep_word_boundaries=True)
-        if not uncorrected and fold_map is not None:
+        if fold_map is not None:
             stream = apply_fold(fold_map, stream)
-    except PhonofoldError as exc:
-        return replace(record, phonemized="", error=str(exc)), set(), set()
+    except Exception as exc:  # one bad row never aborts the run
+        error = str(exc) if isinstance(exc, PhonofoldError) else f"{type(exc).__name__}: {exc}"
+        return replace(record, phonemized="", error=error), set(), set()
     emitted = emit_stream(stream, keep_word_boundaries=keep_word_boundaries)
     observed = {str(s) for s in segment_types(stream)}
     return replace(record, phonemized=emitted, error=""), observed, unmapped
@@ -208,7 +208,6 @@ def convert_corpus(
         backend=backend,
         fold_map=None if uncorrected else fold_map,
         keep_word_boundaries=keep_word_boundaries,
-        uncorrected=uncorrected,
     )
     summary = RunSummary()
     out: list[UtteranceRecord] = []

@@ -15,10 +15,9 @@ from typing import Collection, Iterable
 
 from .chars import classify_segment, strip_marks
 from .errors import FormatError
+from .g2p import DELETION_MARK
 from .inventory import Inventory
 from .stream import Boundary, IpaSegment, PhonemeStream, repair_tokens
-
-DELETION_MARK = "∅"
 
 
 class RuleKind(Enum):
@@ -131,8 +130,11 @@ def _apply_rule(tokens: list, rule: FoldRule) -> list:
 def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
     """Apply every rule in map order, each in one non-overlapping pass."""
     tokens = list(stream)
+    present = set(tokens)
     for rule in fold_map.rules:
-        tokens = _apply_rule(tokens, rule)
+        if rule.lhs[0] in present:  # otherwise the rule cannot match
+            tokens = _apply_rule(tokens, rule)
+            present = set(tokens)
     return PhonemeStream(repair_tokens(tokens))
 
 

@@ -15,6 +15,7 @@ the set of characters that had no mapping and passed through verbatim.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -89,7 +90,8 @@ class RewriteRule:
 class GraphemeMap:
     """Ordered grapheme-to-segments entries, matched longest-first.
 
-    Ties between equal grapheme strings go to the earlier entry.
+    Ties between equal grapheme strings go to the earlier entry. One regex
+    alternation holds every key, longest first, then ``.`` for passthrough.
     """
 
     def __init__(self, entries: Iterable[tuple[str, Sequence[IpaSegment]]] = ()):
@@ -102,21 +104,12 @@ class GraphemeMap:
             segments = tuple(IpaSegment(s) for s in segments)
             self.entries.append((grapheme, segments))
             self._table.setdefault(grapheme, segments)
-        self._lengths = sorted({len(g) for g in self._table}, reverse=True)
+        keys = sorted(self._table, key=len, reverse=True)
+        self._pattern = re.compile("|".join([*map(re.escape, keys), "."]), re.S)
+        self._passthrough: dict[str, tuple[IpaSegment]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def match_at(self, text: str, pos: int):
-        """Longest entry matching ``text`` at ``pos``; None when nothing does."""
-        remaining = len(text) - pos
-        for width in self._lengths:
-            if width > remaining:
-                continue
-            segments = self._table.get(text[pos : pos + width])
-            if segments is not None:
-                return width, segments
-        return None
 
 
 @dataclass(frozen=True)
@@ -169,27 +162,17 @@ def convert_rules(rules: RuleSet, word: str) -> tuple[list[IpaSegment], set[str]
     else:
         text = _nfd(word)
 
+    grapheme_map = rules.grapheme_map
     segments: list[IpaSegment] = []
     unmapped: set[str] = set()
-    passthrough: dict[str, IpaSegment] = {}
-    table = rules.grapheme_map._table
-    lengths = rules.grapheme_map._lengths
-    pos, end = 0, len(text)
-    while pos < end:
-        for width in lengths:
-            mapped = table.get(text[pos : pos + width])
-            if mapped is not None:
-                segments.extend(mapped)
-                pos += width
-                break
-        else:
-            ch = text[pos]
-            segment = passthrough.get(ch)
-            if segment is None:
-                segment = passthrough[ch] = IpaSegment(ch)
-            segments.append(segment)
-            unmapped.add(ch)
-            pos += 1
+    for piece in grapheme_map._pattern.findall(text):
+        mapped = grapheme_map._table.get(piece)
+        if mapped is None:
+            unmapped.add(piece)
+            mapped = grapheme_map._passthrough.get(piece)
+            if mapped is None:
+                mapped = grapheme_map._passthrough[piece] = (IpaSegment(piece),)
+        segments.extend(mapped)
 
     if rules.post_rules:
         seq: Sequence[str] = tuple(segments)
@@ -278,10 +261,18 @@ def merge_tones(
 
 @dataclass(frozen=True)
 class RulesBackend:
-    rules: RuleSet
+    """The rule engine, run once per distinct word and remembered after."""
 
-    def convert_word(self, word: str) -> tuple[list[IpaSegment], set[str]]:
-        return convert_rules(self.rules, word)
+    _NONE_UNMAPPED = frozenset()  # shared by every word with no unmapped characters
+    rules: RuleSet
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def convert_word(self, word: str) -> tuple[list[IpaSegment], frozenset[str]]:
+        known = self._memo.get(word)
+        if known is None:
+            segments, unmapped = convert_rules(self.rules, word)
+            known = self._memo[word] = (tuple(segments), frozenset(unmapped) or self._NONE_UNMAPPED)
+        return list(known[0]), known[1]
 
 
 @dataclass(frozen=True)
@@ -407,7 +398,7 @@ def _build_rewrite(lhs, rhs, context, as_chars: bool, source: str, line_num: int
     def expand(tokens):
         if as_chars:
             return tuple(_nfd("".join(tokens)))
-        return tuple(_nfd(t) for t in tokens)
+        return tuple(IpaSegment(t) for t in tokens)
 
     left_tokens: list[str] = []
     right_tokens: list[str] = []

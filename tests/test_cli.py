@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phonofold
 from phonofold.cli import main
+
+SRC = Path(phonofold.__file__).resolve().parents[1]
 
 FRENCH_ARGS = ["--inventory-id", "2269"]
 
@@ -12,6 +19,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def popen_cli(*argv):
+    """The CLI in a fresh interpreter, so stderr shows any traceback."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.Popen(
+        [sys.executable, "-m", "phonofold.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        encoding="utf-8",
+    )
 
 
 @pytest.fixture
@@ -155,6 +176,18 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "--config", str(config))
         assert code == 0
         assert out == "tʃ a\n"
+
+    def test_reader_closing_early_is_not_a_traceback(self, fixtures, tmp_path):
+        lines = tmp_path / "lines.txt"
+        lines.write_text("cha cha xa\n" * 20_000, encoding="utf-8")
+        backend = ["--backend", "rules", "--rules", str(fixtures / "cha.rules")]
+        proc = popen_cli("convert", *backend, "--uncorrected", str(lines))
+        assert proc.stdout.readline() == "tʃ a tʃ a tʃ a\n"
+        proc.stdout.close()  # as `| head -1` does
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -347,6 +380,29 @@ class TestCorpus:
             assert code == 0
             outputs.append(out_csv.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("target", ["output", "summary"])
+    def test_unwritable_output_fails_before_converting(self, fixtures, tmp_path, target):
+        paths = {"output": str(tmp_path / "out.csv"), "summary": str(tmp_path / "s.json")}
+        paths[target] = str(tmp_path / "missing" / "dir" / "x")
+        backend = ["--backend", "rules", "--rules", str(fixtures / "cha.rules"), "--uncorrected"]
+        io_paths = ["--input", str(fixtures / "corpus_small.csv"), "--output", paths["output"]]
+        proc = popen_cli("corpus", *backend, *io_paths, "--summary", paths["summary"])
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert "rows" not in err  # nothing was converted
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "s.json").exists()
+
+    def test_reserved_literal_in_post_rule_exits_two(self, fixtures, tmp_path):
+        rules = tmp_path / "bad.rules"
+        rules.write_text("map:\nc -> k\npost:\nk -> WORD_BOUNDARY\n", encoding="utf-8")
+        backend = ["--backend", "rules", "--rules", str(rules), "--uncorrected"]
+        io_paths = ["--input", str(fixtures / "corpus_small.csv")]
+        proc = popen_cli("corpus", *backend, *io_paths, "--output", str(tmp_path / "o.csv"))
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert f"error: {rules}: line 4:" in err and "Traceback" not in err
 
     def test_schema_override(self, capsys, fixtures, tmp_path):
         src = tmp_path / "renamed.csv"

@@ -22,6 +22,15 @@ CHA_BACKEND = RulesBackend(
 )
 
 
+class FailingBackend:
+    """Converts like CHA_BACKEND but fails with a plain exception on one word."""
+
+    def convert_word(self, word):
+        if word == "chaq":
+            raise RuntimeError("boom")
+        return CHA_BACKEND.convert_word(word)
+
+
 def read_small(fixtures, **kwargs):
     return list(read_corpus(fixtures / "corpus_small.csv", **kwargs))
 
@@ -117,6 +126,13 @@ class TestConvertCorpus:
         out, summary = convert_corpus(records, backend, uncorrected=True)
         assert out[0].phonemized == "" and out[0].error
         assert summary.errors == 3
+
+    def test_unexpected_exception_stays_in_its_row(self):
+        records = [UtteranceRecord(gloss=g) for g in ("cha", "cha chaq", "a")]
+        out, summary = convert_corpus(records, FailingBackend(), uncorrected=True)
+        assert [r.phonemized for r in out] == ["tʃ a", "", "a"]
+        assert out[1].error == "RuntimeError: boom"
+        assert summary.rows == 3 and summary.errors == 1
 
     def test_keep_word_boundaries_flag_controls_emission(self, fixtures):
         records = read_small(fixtures)

@@ -19,7 +19,14 @@ from phonofold.folding import (
     suggest_mappings,
 )
 from phonofold.inventory import load_inventories
-from phonofold.stream import IpaSegment, emit_stream, parse_stream, segment_types
+from phonofold.stream import (
+    IpaSegment,
+    PhonemeStream,
+    emit_stream,
+    parse_stream,
+    repair_tokens,
+    segment_types,
+)
 
 
 def fold(text):
@@ -233,6 +240,58 @@ def test_clean_maps_are_idempotent():
             stream = random_stream(rng)
             once = apply_fold(fold_map, stream)
             assert apply_fold(fold_map, once) == once
+
+
+def fold_every_rule(fold_map, stream):
+    """Oracle: every rule in order, one left-to-right pass each, no skipping."""
+    tokens = list(stream)
+    for rule in fold_map.rules:
+        out, i, width = [], 0, len(rule.lhs)
+        while i < len(tokens):
+            if tuple(tokens[i : i + width]) == rule.lhs:
+                out.extend(rule.rhs)
+                i += width
+            else:
+                out.append(tokens[i])
+                i += 1
+        tokens = out
+    return PhonemeStream(repair_tokens(tokens))
+
+
+FEEDING_POOL = TOKEN_POOL[:6] + RHS_POOL[:2]
+
+
+def random_feeding_map(rng):
+    """Any rules: merges, splits, deletions, and outputs that feed later rules."""
+    rules = []
+    for _ in range(rng.randint(1, 6)):
+        lhs = tuple(rng.choices(FEEDING_POOL, k=rng.randint(1, 3)))
+        rhs = tuple(rng.choices(FEEDING_POOL, k=rng.randint(0, 2)))
+        rules.append(FoldRule(lhs, rhs))
+    return FoldMap(tuple(rules))
+
+
+# Fixed cases ahead of the random ones: a deletion that empties the first
+# word (leaving a leading boundary), and rule outputs that feed later rules.
+SKIPPING_CASES = [
+    ("a ->", "a WORD_BOUNDARY b"),
+    ("a b ->\nd -> a\na -> ʃ", "a b WORD_BOUNDARY d UTT_BOUNDARY a"),
+    ("b -> a\na -> b", "b WORD_BOUNDARY a"),
+]
+
+
+def test_rule_skipping_matches_every_rule_oracle():
+    rng = random.Random(29)
+    cases = [(fold(m), parse_stream(s)) for m, s in SKIPPING_CASES]
+    for _ in range(500):
+        tokens = []
+        for _ in range(rng.randint(0, 16)):
+            tokens.append(rng.choice(FEEDING_POOL))
+            if rng.random() < 0.2:
+                tokens.append(rng.choice(["WORD_BOUNDARY", "UTT_BOUNDARY"]))
+        cases.append((random_feeding_map(rng), parse_stream(" ".join(tokens))))
+    for fold_map, stream in cases:
+        assert apply_fold(fold_map, stream) == fold_every_rule(fold_map, stream)
 
 
 def test_boundary_positions_stable_relative_to_survivors():

@@ -135,6 +135,25 @@ class TestRuleFileParsing:
         with pytest.raises(FormatError, match="empty lhs"):
             parse_rule_file("map:\n-> a\n")
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "b -> WORD_BOUNDARY",
+            "UTT_BOUNDARY -> b",
+            "b -> a / a _ WORD_BOUNDARY",
+            "b -> a / _ UTT_BOUNDARY #",
+        ],
+    )
+    def test_post_rule_tokens_must_be_segments(self, rule):
+        # caught at load time, not by the first word the rule rewrites
+        with pytest.raises(FormatError, match=r"^x\.rules: line 4: .*reserved boundary"):
+            parse_rule_file(f"map:\nb -> b\npost:\n{rule}\n", source="x.rules")
+
+    def test_post_rule_tokens_loaded_as_segments(self):
+        rule = parse_rule_file("post:\nk h -> kʰ / a _ #\n").post_rules[0]
+        for token in rule.target + rule.replacement + rule.left:
+            assert isinstance(token, IpaSegment)
+
 
 class TestLexicon:
     def test_direct_hit(self):
@@ -271,8 +290,9 @@ class TestConvertUtterance:
 class TestGreedyOracle:
     def test_matches_brute_force_on_random_maps(self):
         rng = random.Random(20240101)
-        alphabet = "abcd"
-        for _ in range(50):
+        # The second alphabet holds regex metacharacters, which the compiled
+        # matcher must treat as literal graphemes.
+        for alphabet in ["abcd"] * 50 + ["a.*|(\\"] * 50:
             entries = []
             for _ in range(6):
                 size = rng.choice([1, 1, 2, 3])
@@ -291,3 +311,57 @@ class TestGreedyOracle:
         first = convert_rules(CHA_RULES, "chacha")
         second = convert_rules(CHA_RULES, "chacha")
         assert first == second
+
+
+def random_context(rng, symbols):
+    """An empty context, or '/ left _ right' with optional '#' anchors."""
+    if rng.random() < 0.5:
+        return ""
+    left = rng.sample(symbols, rng.randint(0, 1))
+    right = rng.sample(symbols, rng.randint(0, 1))
+    if rng.random() < 0.3:
+        left.insert(0, "#")
+    if rng.random() < 0.3:
+        right.append("#")
+    return f" / {' '.join(left)} _ {' '.join(right)}"
+
+
+def random_rule_file(rng):
+    """Rule-file text with pre, map and post sections, some rules in context."""
+    letters, phones = list("abcd"), ["p", "t", "k", "a", "i", "ʃ"]
+    lines = ["pre:"]
+    for _ in range(rng.randint(0, 3)):
+        lhs = "".join(rng.choices(letters, k=rng.randint(1, 2)))
+        rhs = "".join(rng.choices(letters, k=rng.randint(0, 2))) or "∅"
+        lines.append(f"{lhs} -> {rhs}{random_context(rng, letters)}")
+    lines.append("map:")
+    for _ in range(rng.randint(1, 5)):  # letters left out pass through unmapped
+        grapheme = "".join(rng.choices(letters, k=rng.randint(1, 2)))
+        lines.append(f"{grapheme} -> {' '.join(rng.choices(phones, k=rng.randint(0, 2))) or '∅'}")
+    lines.append("post:")
+    for _ in range(rng.randint(0, 3)):
+        lhs = " ".join(rng.choices(phones, k=rng.randint(1, 2)))
+        rhs = " ".join(rng.choices(phones, k=rng.randint(0, 2))) or "∅"
+        lines.append(f"{lhs} -> {rhs}{random_context(rng, phones)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRulesBackendMemo:
+    def test_hits_and_misses_equal_the_engine(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            ruleset = parse_rule_file(random_rule_file(rng))
+            backend = RulesBackend(ruleset)
+            for _ in range(30):
+                word = "".join(rng.choices("abcde", k=rng.randint(1, 6)))
+                expected = convert_rules(ruleset, word)
+                for _ in range(2):  # a miss or a hit, then certainly a hit
+                    segments, unmapped = backend.convert_word(word)
+                    assert (segments, unmapped) == expected, word
+                    segments.append(IpaSegment("junk"))  # must not reach the memo
+
+    def test_memo_is_per_instance_and_not_compared(self):
+        first, second = RulesBackend(CHA_RULES), RulesBackend(CHA_RULES)
+        first.convert_word("cha")
+        assert first == second and "_memo" not in repr(first)
+        assert second.convert_word("chaq") == (["tʃ", "a", "q"], {"q"})
