@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnseenSymbolError
 from .inventory import Inventory, TernaryValue
-from .stream import IpaSegment, PhonemeStream, parse_stream
+from .stream import IpaSegment, PhonemeStream, open_text, parse_stream
 
 UNKNOWN_SYMBOL = "<unk>"
 
@@ -220,11 +220,8 @@ class LabeledVectorSet:
 
 def load_labeled_vectors(source, label_column: str = "label") -> LabeledVectorSet:
     """Read a LabeledVectorSet from CSV: one label column, the rest numeric."""
-    if hasattr(source, "read"):
-        rows = list(csv.DictReader(source))
-    else:
-        with open(source, encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
+    with open_text(source) as handle:
+        rows = list(csv.DictReader(handle))
     if not rows:
         raise ValueError("no vector rows")
     numeric = [c for c in rows[0] if c != label_column]

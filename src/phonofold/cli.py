@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
 from .errors import ConfigError, FormatError, PhonofoldError
-from .stream import IpaSegment, emit_stream, parse_stream, segment_types
+from .stream import IpaSegment, emit_stream, open_text, parse_stream, segment_types
 
 INVENTORY_ENV = "PHONOFOLD_INVENTORY"
 
@@ -223,27 +223,15 @@ def _read_observed(path: str) -> set[IpaSegment]:
     return observed
 
 
-def _open_lines(path: str | None):
-    if path in (None, "-"):
-        return sys.stdin
-    return open(path, encoding="utf-8")
-
-
-def _out_handle(path: str | None):
-    if path in (None, "-"):
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
-
-
 def cmd_convert(args) -> int:
     cfg = build_run_config(args)
     backend = build_backend(cfg)
     fold_map = _load_fold(cfg)
     had_error = False
-    source = _open_lines(args.input)
-    sink = _out_handle(args.output)
-    try:
-        for line_num, line in enumerate(source, start=1):
+    source = sys.stdin if args.input in (None, "-") else args.input
+    sink = sys.stdout if args.output in (None, "-") else args.output
+    with open_text(source) as lines, open_text(sink, "w") as out_handle:
+        for line_num, line in enumerate(lines, start=1):
             line = line.rstrip("\n")
             try:
                 stream, _ = g2p.convert_utterance(backend, line, keep_word_boundaries=True)
@@ -254,12 +242,7 @@ def cmd_convert(args) -> int:
                 print(f"line {line_num}: {exc}", file=sys.stderr)
                 had_error = True
                 out = ""
-            print(out, file=sink)
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if sink is not sys.stdout:
-            sink.close()
+            print(out, file=out_handle)
     return 1 if had_error else 0
 
 
@@ -367,13 +350,10 @@ def cmd_info(args) -> int:
     points = analysis.info_by_age(
         records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=cfg.seed
     )
-    sink = _out_handle(args.output)
-    try:
+    sink = sys.stdout if args.output in (None, "-") else args.output
+    with open_text(sink, "w") as out_handle:
         for row in analysis.curve_rows(points):
-            print(",".join(str(v) for v in row), file=sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+            print(",".join(str(v) for v in row), file=out_handle)
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from .errors import FormatError, PhonofoldError
 from .folding import FoldMap, apply_fold
 from .g2p import convert_utterance
-from .stream import emit_stream, segment_types
+from .stream import emit_stream, open_text, segment_types
 
 AVERAGE_MONTH_DAYS = 30.44
 
@@ -89,11 +89,8 @@ def read_corpus(
     cannot be read are skipped and appended to ``row_errors`` as
     (line_number, message) when a list is supplied.
     """
-    if hasattr(source, "read"):
-        yield from _read(source, getattr(source, "name", "<file>"), schema, child_role, row_errors)
-    else:
-        with open(source, encoding="utf-8", newline="") as handle:
-            yield from _read(handle, str(source), schema, child_role, row_errors)
+    with open_text(source) as handle:
+        yield from _read(handle, getattr(handle, "name", "<file>"), schema, child_role, row_errors)
 
 
 def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRecord]:
@@ -251,11 +248,8 @@ def write_corpus(records: Iterable[UtteranceRecord], target, schema: dict | None
             row.append(record.error)
             yield row
 
-    if hasattr(target, "write"):
-        csv.writer(target).writerows(rows())
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle).writerows(rows())
+    with open_text(target, "w") as handle:
+        csv.writer(handle).writerows(rows())
 
 
 def sort_by_age(records: Iterable[UtteranceRecord]) -> list[UtteranceRecord]:

@@ -15,9 +15,9 @@ from typing import Collection, Iterable
 
 from .chars import classify_segment, strip_marks
 from .errors import FormatError
-from .g2p import DELETION_MARK
+from .g2p import DELETION_MARK, RewriteRule, _split_rule_line
 from .inventory import Inventory
-from .stream import Boundary, IpaSegment, PhonemeStream, repair_tokens
+from .stream import IpaSegment, PhonemeStream, as_segments, repair_tokens
 
 
 class RuleKind(Enum):
@@ -28,14 +28,11 @@ class RuleKind(Enum):
     CONTEXTUAL = "contextual"
 
 
-@dataclass(frozen=True)
-class FoldRule:
-    lhs: tuple[IpaSegment, ...]
-    rhs: tuple[IpaSegment, ...]
+class FoldRule(RewriteRule):
+    """A rewrite rule with no context: ``lhs`` becomes ``rhs`` wherever it occurs."""
 
-    def __post_init__(self):
-        if not self.lhs:
-            raise ValueError("fold rule lhs must be non-empty")
+    lhs = property(lambda self: self.target)
+    rhs = property(lambda self: self.replacement)
 
     @property
     def kind(self) -> RuleKind:
@@ -71,7 +68,7 @@ class DiffReport:
 
 
 def parse_fold_map(text: str, source: str = "<string>") -> FoldMap:
-    """Parse "lhs -> rhs" lines; "∅" or an empty rhs deletes.
+    """Parse rule-file lines with no context: "lhs -> rhs", "∅" or an empty rhs deletes.
 
     Lines whose first non-blank character is ``#`` are comments. Duplicate
     lhs sequences are rejected, naming both offending lines.
@@ -82,19 +79,10 @@ def parse_fold_map(text: str, source: str = "<string>") -> FoldMap:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "->" not in line:
-            raise FormatError("expected 'lhs -> rhs'", source=source, line=line_num)
-        lhs_text, rhs_text = line.split("->", 1)
-        try:
-            lhs = tuple(IpaSegment(t) for t in lhs_text.split())
-            rhs_tokens = rhs_text.split()
-            if rhs_tokens == [DELETION_MARK]:
-                rhs_tokens = []
-            rhs = tuple(IpaSegment(t) for t in rhs_tokens)
-        except ValueError as exc:
-            raise FormatError(str(exc), source=source, line=line_num) from None
-        if not lhs:
-            raise FormatError("empty lhs", source=source, line=line_num)
+        lhs_tokens, rhs_tokens, context = _split_rule_line(line, source, line_num)
+        if context is not None:
+            raise FormatError("fold rules take no context", source=source, line=line_num)
+        lhs = as_segments(lhs_tokens, source, line_num)
         if lhs in seen:
             raise FormatError(
                 f"duplicate lhs {' '.join(lhs)!r} (lines {seen[lhs]} and {line_num})",
@@ -102,7 +90,7 @@ def parse_fold_map(text: str, source: str = "<string>") -> FoldMap:
                 line=line_num,
             )
         seen[lhs] = line_num
-        rules.append(FoldRule(lhs, rhs))
+        rules.append(FoldRule(lhs, as_segments(rhs_tokens, source, line_num)))
     return FoldMap(tuple(rules), provenance=source)
 
 
@@ -111,29 +99,16 @@ def load_fold_map(path) -> FoldMap:
         return parse_fold_map(handle.read(), source=str(path))
 
 
-def _apply_rule(tokens: list, rule: FoldRule) -> list:
-    lhs, width = rule.lhs, len(rule.lhs)
-    out: list = []
-    i, n = 0, len(tokens)
-    while i < n:
-        # Boundary tokens never equal segments, so a window comparison both
-        # matches segment text and refuses to span boundaries.
-        if i + width <= n and all(tokens[i + j] == lhs[j] for j in range(width)):
-            out.extend(rule.rhs)
-            i += width
-        else:
-            out.append(tokens[i])
-            i += 1
-    return out
-
-
 def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
-    """Apply every rule in map order, each in one non-overlapping pass."""
-    tokens = list(stream)
+    """Apply every rule in map order, each in one non-overlapping pass.
+
+    Boundary tokens never equal segments, so no match spans a boundary.
+    """
+    tokens = tuple(stream)
     present = set(tokens)
     for rule in fold_map.rules:
         if rule.lhs[0] in present:  # otherwise the rule cannot match
-            tokens = _apply_rule(tokens, rule)
+            tokens = rule.apply(tokens)
             present = set(tokens)
     return PhonemeStream(repair_tokens(tokens))
 

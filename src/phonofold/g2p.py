@@ -30,7 +30,7 @@ from .errors import (
     ToneAttachmentError,
     UnknownSegmentError,
 )
-from .stream import Boundary, IpaSegment, PhonemeStream, parse_stream, repair_tokens
+from .stream import Boundary, IpaSegment, PhonemeStream, as_segments, parse_stream, repair_tokens
 
 DELETION_MARK = "∅"
 
@@ -44,9 +44,10 @@ class RewriteRule:
     """Replace a symbol sequence, optionally restricted by literal context.
 
     Symbols are single characters for pre-processor rules and whole phoneme
-    tokens for post-processor rules. Contexts are literal sequences; a ``#``
-    anchor pins the match to the word edge. Application is one left-to-right
-    pass with non-overlapping matches, contexts checked against the input.
+    tokens for post-processor and fold rules. Contexts are literal sequences;
+    a ``#`` anchor pins the match to the word edge. Application is one
+    left-to-right pass with non-overlapping matches, contexts checked against
+    the input.
     """
 
     target: tuple[str, ...]
@@ -355,8 +356,10 @@ def convert_utterance(
 # --- file formats -----------------------------------------------------------
 #
 # Rule file: sections "pre:", "map:", "post:"; one rule per line in the form
-# "lhs -> rhs" with an optional "/ left _ right" context suffix; "#" inside a
-# context is a word-edge anchor, so comments are whole lines starting with #.
+# "lhs -> rhs" ("∅" or an empty rhs deletes) with an optional "/ left _ right"
+# context suffix, "_" standing as its own token; "#" inside a context is a
+# word-edge anchor, so comments are whole lines starting with #. A fold map
+# uses the same line grammar with no context and no sections.
 # Lexicon: word TAB space-separated segments. Syllable table: romanization
 # TAB segments TAB tone glyphs (third column optional).
 
@@ -368,10 +371,11 @@ def _split_rule_line(line: str, source: str, line_num: int):
     context = None
     if "/" in rhs_text:
         rhs_text, context_text = rhs_text.split("/", 1)
-        if "_" not in context_text:
+        tokens = context_text.split()
+        if tokens.count("_") != 1:
             raise FormatError("context needs 'left _ right'", source=source, line=line_num)
-        left_text, right_text = context_text.split("_", 1)
-        context = (left_text.split(), right_text.split())
+        at = tokens.index("_")
+        context = (tokens[:at], tokens[at + 1 :])
     lhs = lhs_text.split()
     rhs = rhs_text.split()
     if rhs == [DELETION_MARK]:
@@ -381,52 +385,33 @@ def _split_rule_line(line: str, source: str, line_num: int):
     return lhs, rhs, context
 
 
-def _context_parts(tokens: list[str], side: str):
-    anchored = False
-    if side == "left" and tokens and tokens[0] == "#":
-        anchored = True
-        tokens = tokens[1:]
-    if side == "right" and tokens and tokens[-1] == "#":
-        anchored = True
-        tokens = tokens[:-1]
-    if "#" in tokens:
-        raise ValueError("word-edge anchor only allowed at the outer context edge")
-    return tokens, anchored
-
-
 def _build_rewrite(lhs, rhs, context, as_chars: bool, source: str, line_num: int) -> RewriteRule:
     def expand(tokens):
         if as_chars:
             return tuple(_nfd("".join(tokens)))
-        return tuple(IpaSegment(t) for t in tokens)
+        return as_segments(tokens, source, line_num)
 
-    left_tokens: list[str] = []
-    right_tokens: list[str] = []
-    left_anchor = right_anchor = False
-    if context is not None:
-        try:
-            left_tokens, left_anchor = _context_parts(context[0], "left")
-            right_tokens, right_anchor = _context_parts(context[1], "right")
-        except ValueError as exc:
-            raise FormatError(str(exc), source=source, line=line_num) from None
-    try:
-        return RewriteRule(
-            target=expand(lhs),
-            replacement=expand(rhs),
-            left=expand(left_tokens),
-            right=expand(right_tokens),
-            left_anchor=left_anchor,
-            right_anchor=right_anchor,
+    left, right = context or ([], [])
+    left_anchor = bool(left) and left[0] == "#"
+    if left_anchor:
+        left = left[1:]
+    right_anchor = bool(right) and right[-1] == "#"
+    if right_anchor:
+        right = right[:-1]
+    if "#" in left + right:
+        raise FormatError(
+            "word-edge anchor only allowed at the outer context edge", source=source, line=line_num
         )
-    except ValueError as exc:
-        raise FormatError(str(exc), source=source, line=line_num) from None
+    return RewriteRule(
+        expand(lhs), expand(rhs), expand(left), expand(right), left_anchor, right_anchor
+    )
 
 
 def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
     """Parse the pre/map/post rule file format into a RuleSet."""
     pre: list[RewriteRule] = []
     post: list[RewriteRule] = []
-    map_entries: list[tuple[str, list[IpaSegment]]] = []
+    map_entries: list[tuple[str, tuple[IpaSegment, ...]]] = []
     section = None
     for line_num, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -445,12 +430,7 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
         else:
             if context is not None:
                 raise FormatError("map entries take no context", source=source, line=line_num)
-            grapheme = _nfd("".join(lhs))
-            try:
-                segments = [IpaSegment(t) for t in rhs]
-            except ValueError as exc:
-                raise FormatError(str(exc), source=source, line=line_num) from None
-            map_entries.append((grapheme, segments))
+            map_entries.append((_nfd("".join(lhs)), as_segments(rhs, source, line_num)))
     return RuleSet(tuple(pre), GraphemeMap(map_entries), tuple(post))
 
 
@@ -475,10 +455,7 @@ def parse_lexicon(text: str, source: str = "<string>") -> Lexicon:
         word = _nfd(parts[0].strip()).casefold()
         if not word or " " in word:
             raise FormatError(f"bad lexicon word {parts[0]!r}", source=source, line=line_num)
-        try:
-            segments = tuple(IpaSegment(t) for t in parts[1].split())
-        except ValueError as exc:
-            raise FormatError(str(exc), source=source, line=line_num) from None
+        segments = as_segments(parts[1].split(), source, line_num)
         entries.setdefault(word, segments)
     return Lexicon(entries)
 
@@ -511,10 +488,7 @@ def parse_syllable_table(
                 source=source,
                 line=line_num,
             )
-        try:
-            segments = tuple(IpaSegment(t) for t in parts[1].split())
-        except ValueError as exc:
-            raise FormatError(str(exc), source=source, line=line_num) from None
+        segments = as_segments(parts[1].split(), source, line_num)
         if not segments:
             raise FormatError("entry needs at least one segment", source=source, line=line_num)
         tone = _nfd(parts[2].strip()) if len(parts) == 3 and parts[2].strip() else None

@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Collection, Iterable, Mapping
 
 from .chars import classify_segment, count_vowel_glyphs
 from .errors import FormatError, UnknownFeatureError, UnknownSegmentError
-from .stream import IpaSegment
+from .stream import IpaSegment, as_segments, open_text
 
 REQUIRED_COLUMNS = ("InventoryID", "LanguageName", "ISO6393", "Phoneme", "SegmentClass")
 
@@ -113,10 +112,8 @@ def is_diphthong(seg: InventorySegment) -> bool:
 
 def load_inventories(source) -> list[Inventory]:
     """Load all inventories from a CSV file path or open text file."""
-    if hasattr(source, "read"):
-        return _load(source, getattr(source, "name", "<file>"))
-    with open(source, encoding="utf-8", newline="") as handle:
-        return _load(handle, str(source))
+    with open_text(source) as handle:
+        return _load(handle, getattr(handle, "name", "<file>"))
 
 
 def _load(handle, name: str) -> list[Inventory]:
@@ -149,10 +146,7 @@ def _load(handle, name: str) -> list[Inventory]:
         seg_class = row[positions["SegmentClass"]].strip().lower()
         if seg_class not in SEGMENT_CLASSES:
             raise FormatError(f"unknown SegmentClass {seg_class!r}", source=name, line=line_num)
-        try:
-            segment = IpaSegment(seg_text)
-        except ValueError as exc:
-            raise FormatError(str(exc), source=name, line=line_num) from None
+        (segment,) = as_segments([seg_text], name, line_num)
         features = {
             fname: TernaryValue.from_cell(row[pos])
             for fname, pos in zip(feature_names, feature_positions)

@@ -8,9 +8,12 @@ WORD_BOUNDARY and UTT_BOUNDARY marking boundaries.
 
 from __future__ import annotations
 
+import contextlib
 import unicodedata
 from enum import Enum
 from typing import Iterable, Iterator, Union
+
+from .errors import FormatError
 
 WORD_BOUNDARY = "WORD_BOUNDARY"
 UTT_BOUNDARY = "UTT_BOUNDARY"
@@ -49,6 +52,21 @@ class IpaSegment(str):
         return f"IpaSegment({str.__repr__(self)})"
 
 
+def as_segments(tokens: Iterable[str], source: str, line: int) -> tuple[IpaSegment, ...]:
+    """The tokens as segments; a token that is not one is a FormatError at source, line."""
+    try:
+        return tuple(map(IpaSegment, tokens))
+    except ValueError as exc:
+        raise FormatError(str(exc), source=source, line=line) from None
+
+
+def open_text(source, mode: str = "r"):
+    """A context manager over a text handle: an open handle as is, a path opened as UTF-8."""
+    if hasattr(source, "read") or hasattr(source, "write"):
+        return contextlib.nullcontext(source)
+    return open(source, mode, encoding="utf-8", newline="")
+
+
 StreamToken = Union[IpaSegment, Boundary]
 
 
@@ -65,14 +83,15 @@ def _coerce_token(token) -> StreamToken:
 def repair_tokens(tokens: Iterable[StreamToken]) -> tuple[StreamToken, ...]:
     """Drop redundant word boundaries so the adjacency invariants hold.
 
-    Runs of WordBoundary collapse to one, and a WordBoundary next to an
-    UttBoundary (either side) is dropped: the utterance boundary subsumes it.
+    Runs of WordBoundary collapse to one, a WordBoundary next to an
+    UttBoundary (either side) is dropped, since the utterance boundary
+    subsumes it, and so is a WordBoundary with nothing before it.
     """
     out: list[StreamToken] = []
     for token in tokens:
         if token is Boundary.WORD:
-            if out and isinstance(out[-1], Boundary):
-                continue  # redundant next to another boundary
+            if not out or isinstance(out[-1], Boundary):
+                continue  # leading, or redundant next to another boundary
             out.append(token)
         elif token is Boundary.UTT:
             if out and out[-1] is Boundary.WORD:

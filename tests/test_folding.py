@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phonofold.errors import FormatError
+from phonofold.g2p import RewriteRule
 from phonofold.folding import (
     DiffReport,
     FoldMap,
@@ -67,6 +68,20 @@ class TestParse:
         with pytest.raises(FormatError, match="empty lhs"):
             fold("-> b\n")
 
+    def test_context_rejected(self):
+        # the rule-file grammar reads "/ c _" as a context, which fold rules do not take
+        with pytest.raises(FormatError, match=r"^m\.fold: line 2: fold rules take no context"):
+            parse_fold_map("# map\na -> b / c _\n", source="m.fold")
+
+    def test_fold_rule_is_a_context_free_rewrite_rule(self):
+        rule = FoldRule((IpaSegment("d"), IpaSegment("ʒ")), (IpaSegment("dʒ"),))
+        assert isinstance(rule, RewriteRule)
+        assert (rule.lhs, rule.rhs) == (rule.target, rule.replacement) == (("d", "ʒ"), ("dʒ",))
+        assert rule.left == rule.right == () and not (rule.left_anchor or rule.right_anchor)
+        assert rule.kind is RuleKind.MERGE and str(rule) == "d ʒ -> dʒ"
+        with pytest.raises(AttributeError):
+            rule.lhs = ("x",)
+
     def test_comments_and_order_preserved(self, fixtures):
         fold_map = load_fold_map(fixtures / "french.fold")
         assert [str(r.lhs[0]) for r in fold_map.rules] == ["ɔ", "ɛ", "d", "t"]
@@ -97,6 +112,10 @@ class TestApply:
     def test_rules_apply_in_file_order(self):
         # first rule consumes the pair before the second can see it
         assert run("d ʒ -> dʒ\nʒ -> z", "d ʒ ʒ") == "dʒ z"
+
+    def test_deleting_the_first_word_leaves_no_leading_boundary(self):
+        out = emit_stream(apply_fold(fold("a ->"), parse_stream("a WORD_BOUNDARY b")))
+        assert out == "b"
 
     def test_empty_map_is_identity(self):
         assert run("", "a b c") == "a b c"

@@ -142,12 +142,22 @@ class TestRuleFileParsing:
             "UTT_BOUNDARY -> b",
             "b -> a / a _ WORD_BOUNDARY",
             "b -> a / _ UTT_BOUNDARY #",
+            "b -> a / WORD_BOUNDARY _",
         ],
     )
     def test_post_rule_tokens_must_be_segments(self, rule):
         # caught at load time, not by the first word the rule rewrites
         with pytest.raises(FormatError, match=r"^x\.rules: line 4: .*reserved boundary"):
             parse_rule_file(f"map:\nb -> b\npost:\n{rule}\n", source="x.rules")
+
+    @pytest.mark.parametrize("context", ["a_b", "a _ b _", "a b", "_a b"])
+    def test_context_needs_one_standalone_underscore(self, context):
+        with pytest.raises(FormatError, match=r"^x\.rules: line 2: context needs 'left _ right'"):
+            parse_rule_file(f"post:\nb -> a / {context}\n", source="x.rules")
+
+    def test_context_splits_at_the_standalone_underscore(self):
+        rule = parse_rule_file("pre:\nc -> s / x_y _ z_\n").pre_rules[0]
+        assert rule.left == ("x", "_", "y") and rule.right == ("z", "_")
 
     def test_post_rule_tokens_loaded_as_segments(self):
         rule = parse_rule_file("post:\nk h -> kʰ / a _ #\n").post_rules[0]

@@ -1,12 +1,19 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phonofold.errors import FormatError
+from phonofold.folding import parse_fold_map
+from phonofold.g2p import parse_lexicon, parse_rule_file, parse_syllable_table
+from phonofold.inventory import load_inventories
 from phonofold.stream import (
     Boundary,
     IpaSegment,
     PhonemeStream,
     emit_stream,
+    open_text,
     parse_stream,
     segment_types,
 )
@@ -63,6 +70,9 @@ class TestParseStream:
         stream = parse_stream("a  WORD_BOUNDARY WORD_BOUNDARY b")
         assert stream == PhonemeStream(["a", W, "b"])
 
+    def test_leading_word_boundary_dropped(self):
+        assert parse_stream("WORD_BOUNDARY a") == PhonemeStream(["a"])
+
     def test_word_boundary_next_to_utt_boundary_dropped(self):
         assert parse_stream("a WORD_BOUNDARY UTT_BOUNDARY b") == PhonemeStream(["a", U, "b"])
         assert parse_stream("a UTT_BOUNDARY WORD_BOUNDARY b") == PhonemeStream(["a", U, "b"])
@@ -107,6 +117,49 @@ class TestSegmentTypes:
 
     def test_multi_char_segment_kept_atomic(self):
         assert segment_types(parse_stream("dʒ d ʒ")) == {"dʒ", "d", "ʒ"}
+
+
+def _inventory(text, source):
+    handle = io.StringIO("InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass\n" + text)
+    handle.name = source
+    return load_inventories(handle)
+
+
+# Every loader turns a bad segment into one FormatError naming file and line once.
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (parse_rule_file, "map:\nb -> b\npost:\nb -> WORD_BOUNDARY\n"),
+        (parse_rule_file, "map:\nb -> b\n\nb -> UTT_BOUNDARY\n"),
+        (parse_fold_map, "a -> b\n# c\n\nb -> WORD_BOUNDARY\n"),
+        (parse_lexicon, "a\ta\nb\tb\n\nc\tUTT_BOUNDARY\n"),
+        (parse_syllable_table, "a\ta\nb\tb\n\nc\tWORD_BOUNDARY\t˥\n"),
+        (_inventory, "1,L,xxx,a,vowel\n\n1,L,xxx,WORD_BOUNDARY,consonant\n"),
+    ],
+    ids=["post-rule", "map-entry", "fold-rule", "lexicon-row", "syllable-row", "inventory-row"],
+)
+def test_reserved_literal_named_once_with_file_and_line(load, text):
+    with pytest.raises(FormatError) as info:
+        load(text, source="x.src")
+    message = str(info.value)
+    assert message.startswith("x.src: line 4: ") and message.count("x.src: line 4: ") == 1
+    assert "reserved boundary literal" in message
+
+
+class TestOpenText:
+    def test_handle_passes_through_open(self):
+        handle = io.StringIO("a")
+        with open_text(handle) as same:
+            assert same is handle
+        assert not handle.closed
+
+    def test_path_opened_as_utf8_and_closed(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with open_text(path, "w") as handle:
+            handle.write("ɛ\r\n")
+        assert handle.closed
+        with open_text(str(path)) as handle:
+            assert handle.read() == "ɛ\r\n"  # newline="" keeps line endings as written
 
 
 # --- properties ---------------------------------------------------------
