@@ -25,6 +25,9 @@ UNKNOWN_SYMBOL = "<unk>"
 
 SMOOTHING_MODES = ("none", "add_one")
 
+# Rows of the distance matrix silhouette computes at once.
+_SILHOUETTE_BLOCK_ROWS = 64
+
 
 def frequency_table(streams: Iterable[PhonemeStream]) -> Counter:
     """Exact segment token counts over streams, boundaries excluded."""
@@ -245,13 +248,19 @@ def silhouette(data: LabeledVectorSet, metric: str = "euclidean") -> float:
     if len(unique) < 2:
         raise ValueError("silhouette needs at least two distinct labels")
 
-    diff = vectors[:, None, :] - vectors[None, :, :]
-    distances = np.sqrt((diff * diff).sum(axis=-1))
     n = vectors.shape[0]
-
     masks = {label: labels == label for label in unique}
     sizes = {label: int(mask.sum()) for label, mask in masks.items()}
-    cluster_sums = {label: distances[:, mask].sum(axis=1) for label, mask in masks.items()}
+    # Distances for a block of rows at a time, so memory stays O(block * n * d).
+    # Blocks are near-equal and so never one row tall: numpy sums the columns
+    # of a one-row matrix in another order than those of a taller one.
+    cluster_sums = {label: np.empty(n) for label in unique}
+    for block in np.array_split(np.arange(n), -(-n // _SILHOUETTE_BLOCK_ROWS)):
+        rows = slice(block[0], block[-1] + 1)
+        diff = vectors[rows, None, :] - vectors[None, :, :]
+        distances = np.sqrt((diff * diff).sum(axis=-1))
+        for label, mask in masks.items():
+            cluster_sums[label][rows] = distances[:, mask].sum(axis=1)
 
     scores = np.zeros(n)
     for i in range(n):

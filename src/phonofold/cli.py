@@ -9,6 +9,7 @@ inventory CSV path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
 from .errors import ConfigError, FormatError, PhonofoldError
-from .stream import IpaSegment, emit_stream, open_text, parse_stream, segment_types
+from .stream import IpaSegment, as_segments, emit_stream, open_text, parse_stream, segment_types
 
 INVENTORY_ENV = "PHONOFOLD_INVENTORY"
 
@@ -141,12 +142,27 @@ def build_run_config(args) -> RunConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def _user_file():
+    """Report a user file that cannot be opened, read or parsed as a ConfigError."""
+    try:
+        yield
+    except (OSError, FormatError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _open_user_file(source, mode: str = "r"):
+    """``open_text`` for a user-named path or handle, failing as a ConfigError."""
+    with _user_file():
+        return open_text(source, mode)
+
+
 def build_backend(cfg: RunConfig):
     if cfg.backend is None:
         raise ConfigError("no backend selected (use --backend)")
     if cfg.backend not in BACKEND_KINDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}; choose from {BACKEND_KINDS}")
-    try:
+    with _user_file():
         if cfg.backend == "rules":
             if not cfg.rules:
                 raise ConfigError("rules backend needs --rules FILE")
@@ -163,8 +179,6 @@ def build_backend(cfg: RunConfig):
                 g2p.load_syllable_table(cfg.table), split_tones=cfg.split_tones
             )
         return g2p.PassthroughBackend()
-    except (OSError, FormatError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _load_fold(cfg: RunConfig) -> folding.FoldMap | None:
@@ -172,10 +186,8 @@ def _load_fold(cfg: RunConfig) -> folding.FoldMap | None:
         return None
     if not cfg.fold:
         raise ConfigError("a fold map is required unless --uncorrected is set")
-    try:
+    with _user_file():
         return folding.load_fold_map(cfg.fold)
-    except (OSError, FormatError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _load_inventory(cfg: RunConfig) -> inventory.Inventory:
@@ -191,10 +203,8 @@ def _load_inventory(cfg: RunConfig) -> inventory.Inventory:
 def _load_inventories(cfg: RunConfig) -> list[inventory.Inventory]:
     if not cfg.inventory:
         raise ConfigError(f"no inventory file (use --inventory or ${INVENTORY_ENV})")
-    try:
+    with _user_file():
         inventories = inventory.load_inventories(cfg.inventory)
-    except (OSError, FormatError) as exc:
-        raise ConfigError(str(exc)) from exc
     if not inventories:
         raise ConfigError(f"no inventories in {cfg.inventory}")
     return inventories
@@ -204,20 +214,23 @@ def _read_observed(path: str) -> set[IpaSegment]:
     """Observed segment set from a summary JSON, corpus CSV, or stream file."""
     suffix = Path(path).suffix.lower()
     observed: set[IpaSegment] = set()
-    if suffix == ".json":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        segments = payload["observed_segments"] if isinstance(payload, dict) else payload
-        observed.update(IpaSegment(s) for s in segments)
-    elif suffix == ".csv":
-        with open(path, encoding="utf-8", newline="") as handle:
+    with _open_user_file(path) as handle:
+        if suffix == ".json":
+            try:
+                payload = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"not JSON: {exc.msg}", source=path, line=exc.lineno) from None
+            segments = payload.get("observed_segments") if isinstance(payload, dict) else payload
+            if not isinstance(segments, list) or not all(isinstance(s, str) for s in segments):
+                raise FormatError("expected observed_segments: a list of strings", source=path)
+            observed.update(as_segments(segments, path, None))
+        elif suffix == ".csv":
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or "phonemized" not in reader.fieldnames:
                 raise ConfigError(f"{path}: no phonemized column to read segments from")
             for row in reader:
                 observed |= segment_types(parse_stream(row["phonemized"] or ""))
-    else:
-        with open(path, encoding="utf-8") as handle:
+        else:
             for line in handle:
                 observed |= segment_types(parse_stream(line))
     return observed
@@ -230,7 +243,7 @@ def cmd_convert(args) -> int:
     had_error = False
     source = sys.stdin if args.input in (None, "-") else args.input
     sink = sys.stdout if args.output in (None, "-") else args.output
-    with open_text(source) as lines, open_text(sink, "w") as out_handle:
+    with _open_user_file(source) as lines, _open_user_file(sink, "w") as out_handle:
         for line_num, line in enumerate(lines, start=1):
             line = line.rstrip("\n")
             try:
@@ -281,14 +294,12 @@ def cmd_corpus(args) -> int:
             raise ConfigError(f"cannot write {path}")
 
     row_errors: list = []
-    try:
+    with _open_user_file(args.input) as handle:
         records = list(
             corpus.read_corpus(
-                args.input, schema=schema, child_role=cfg.child_role, row_errors=row_errors
+                handle, schema=schema, child_role=cfg.child_role, row_errors=row_errors
             )
         )
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
 
     started = time.perf_counter()
     converted, summary = corpus.convert_corpus(
@@ -305,23 +316,21 @@ def cmd_corpus(args) -> int:
     payload = summary.to_json()
     payload["skipped_rows"] = len(row_errors)
     payload["seconds"] = round(elapsed, 3)
-    try:
+    with _user_file():
         corpus.write_corpus(converted, args.output, schema=schema)
-        with open(summary_path, "w", encoding="utf-8") as handle:
+        with open_text(summary_path, "w") as handle:
             json.dump(payload, handle, ensure_ascii=False, indent=2)
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
     print(f"{summary.rows} rows, {summary.errors} errors", file=sys.stderr)
     return 1 if summary.errors or row_errors else 0
 
 
 def _streams_from_input(path: str, cfg: RunConfig):
     suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        schema = dict(corpus.DEFAULT_SCHEMA) | cfg.schema
-        records = list(corpus.read_corpus(path, schema=schema, child_role=cfg.child_role))
-        return [parse_stream(r.phonemized) for r in records if r.phonemized], records
-    with open(path, encoding="utf-8") as handle:
+    with _open_user_file(path) as handle:
+        if suffix == ".csv":
+            schema = dict(corpus.DEFAULT_SCHEMA) | cfg.schema
+            records = list(corpus.read_corpus(handle, schema=schema, child_role=cfg.child_role))
+            return [parse_stream(r.phonemized) for r in records if r.phonemized], records
         return [parse_stream(line) for line in handle], None
 
 
@@ -342,26 +351,25 @@ def cmd_stats(args) -> int:
 def cmd_info(args) -> int:
     cfg = build_run_config(args)
     schema = dict(corpus.DEFAULT_SCHEMA) | cfg.schema
-    records = [
-        r
-        for r in corpus.read_corpus(args.input, schema=schema, child_role=cfg.child_role)
-        if not r.is_child
-    ]
+    with _open_user_file(args.input) as handle:
+        records = [
+            r
+            for r in corpus.read_corpus(handle, schema=schema, child_role=cfg.child_role)
+            if not r.is_child
+        ]
     points = analysis.info_by_age(
         records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=cfg.seed
     )
     sink = sys.stdout if args.output in (None, "-") else args.output
-    with open_text(sink, "w") as out_handle:
+    with _open_user_file(sink, "w") as out_handle:
         for row in analysis.curve_rows(points):
             print(",".join(str(v) for v in row), file=out_handle)
     return 0
 
 
 def cmd_check_map(args) -> int:
-    try:
+    with _user_file():
         fold_map = folding.load_fold_map(args.map)
-    except (OSError, FormatError) as exc:
-        raise ConfigError(str(exc)) from exc
     diagnostics = folding.check_fold_map(fold_map)
     for diagnostic in diagnostics:
         print(diagnostic)

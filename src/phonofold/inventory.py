@@ -4,13 +4,22 @@ Inventories are ingested from a PHOIBLE-style CSV: the five fixed columns
 InventoryID, LanguageName, ISO6393, Phoneme and SegmentClass, followed by any
 number of feature columns. The feature schema is taken from the header
 verbatim, so the loader survives schema changes in the source database.
+
+PHOIBLE repeats the same few hundred segments, with the same feature cells,
+across its inventories. The loader still checks every row when the file
+loads, but decodes each distinct row of feature cells only once: segments
+with the same cells share one ``InventorySegment.features``, a read-only
+mapping. Rows that repeat phoneme, class and cells share one
+``InventorySegment``.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
 from .chars import classify_segment, count_vowel_glyphs
@@ -29,13 +38,11 @@ class TernaryValue(Enum):
 
     @classmethod
     def from_cell(cls, cell: str) -> "TernaryValue":
-        cell = cell.strip()
-        if cell == "+":
-            return cls.PLUS
-        if cell == "-":
-            return cls.MINUS
-        # multi-valued cells like "+,-" and anything unrecognized
-        return cls.UNSPECIFIED
+        # multi-valued cells like "+,-" and anything unrecognized are UNSPECIFIED
+        return _CELL_VALUES.get(cell.strip(), cls.UNSPECIFIED)
+
+
+_CELL_VALUES = {"+": TernaryValue.PLUS, "-": TernaryValue.MINUS}
 
 
 @dataclass(frozen=True)
@@ -126,50 +133,55 @@ def _load(handle, name: str) -> list[Inventory]:
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise FormatError(f"missing column {col!r}", source=name)
-    positions = {col: header.index(col) for col in REQUIRED_COLUMNS}
+    id_pos, language_pos, iso_pos, phoneme_pos, class_pos = map(header.index, REQUIRED_COLUMNS)
     feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
     feature_positions = [header.index(col) for col in feature_names]
+    key_of = operator.itemgetter(phoneme_pos, class_pos, *feature_positions)
+    # One IpaSegment per phoneme text, one features mapping per cell tuple and
+    # one InventorySegment per (phoneme, class, cells), shared across inventories.
+    segments: dict[str, IpaSegment] = {}
+    decoded: dict[tuple, Mapping[str, TernaryValue]] = {}
+    shared: dict[tuple, InventorySegment] = {}
 
-    grouped: dict[int, dict] = {}
+    grouped: dict[int, tuple[str, str, dict]] = {}
     for line_num, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):
             continue
         if len(row) < len(header):
             raise FormatError("row has fewer cells than the header", source=name, line=line_num)
         try:
-            inv_id = int(row[positions["InventoryID"]])
+            inv_id = int(row[id_pos])
         except ValueError:
             raise FormatError(
-                f"bad InventoryID {row[positions['InventoryID']]!r}", source=name, line=line_num
+                f"bad InventoryID {row[id_pos]!r}", source=name, line=line_num
             ) from None
-        seg_text = row[positions["Phoneme"]].strip()
-        seg_class = row[positions["SegmentClass"]].strip().lower()
-        if seg_class not in SEGMENT_CLASSES:
-            raise FormatError(f"unknown SegmentClass {seg_class!r}", source=name, line=line_num)
-        (segment,) = as_segments([seg_text], name, line_num)
-        features = {
-            fname: TernaryValue.from_cell(row[pos])
-            for fname, pos in zip(feature_names, feature_positions)
-        }
-        entry = grouped.setdefault(
-            inv_id,
-            {
-                "language": row[positions["LanguageName"]].strip(),
-                "iso": row[positions["ISO6393"]].strip(),
-                "segments": [],
-                "seen": set(),
-            },
-        )
-        if segment in entry["seen"]:
+        key = key_of(row)
+        inv_seg = shared.get(key)
+        if inv_seg is None:  # first row with this phoneme, class and cells: check them
+            seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
+            if seg_class not in SEGMENT_CLASSES:
+                message = f"unknown SegmentClass {seg_class!r}"
+                raise FormatError(message, source=name, line=line_num)
+            if seg_text not in segments:
+                (segments[seg_text],) = as_segments([seg_text], name, line_num)
+            if cells not in decoded:
+                decoded[cells] = MappingProxyType(
+                    dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
+                )
+            inv_seg = shared[key] = InventorySegment(segments[seg_text], seg_class, decoded[cells])
+        if inv_id not in grouped:
+            grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
+        inv_segments = grouped[inv_id][2]
+        segment = inv_seg.segment
+        if segment in inv_segments:
             raise FormatError(
                 f"duplicate segment {segment!r} in inventory {inv_id}", source=name, line=line_num
             )
-        entry["seen"].add(segment)
-        entry["segments"].append(InventorySegment(segment, seg_class, features))
+        inv_segments[segment] = inv_seg
 
     return [
-        Inventory(inv_id, data["language"], data["iso"], tuple(data["segments"]))
-        for inv_id, data in grouped.items()
+        Inventory(inv_id, language, iso, tuple(inv_segments.values()))
+        for inv_id, (language, iso, inv_segments) in grouped.items()
     ]
 
 

@@ -52,7 +52,7 @@ class IpaSegment(str):
         return f"IpaSegment({str.__repr__(self)})"
 
 
-def as_segments(tokens: Iterable[str], source: str, line: int) -> tuple[IpaSegment, ...]:
+def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[IpaSegment, ...]:
     """The tokens as segments; a token that is not one is a FormatError at source, line."""
     try:
         return tuple(map(IpaSegment, tokens))

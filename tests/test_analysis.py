@@ -247,6 +247,31 @@ def silhouette_oracle(vectors, labels):
     return sum(scores) / len(scores)
 
 
+def silhouette_whole_tensor(data):
+    """Silhouette from the full n x n x d difference tensor, in one step.
+
+    Same arithmetic as ``silhouette``, which takes the distances a block of
+    rows at a time to bound memory; the two must agree exactly.
+    """
+    vectors = data.vectors
+    labels = np.asarray(data.labels, dtype=object)
+    unique = sorted(set(data.labels), key=str)
+    diff = vectors[:, None, :] - vectors[None, :, :]
+    distances = np.sqrt((diff * diff).sum(axis=-1))
+    masks = {label: labels == label for label in unique}
+    sizes = {label: int(mask.sum()) for label, mask in masks.items()}
+    cluster_sums = {label: distances[:, mask].sum(axis=1) for label, mask in masks.items()}
+    scores = np.zeros(len(vectors))
+    for i, own in enumerate(data.labels):
+        if sizes[own] == 1:
+            continue
+        a = cluster_sums[own][i] / (sizes[own] - 1)
+        b = min(cluster_sums[other][i] / sizes[other] for other in unique if other != own)
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())
+
+
 class TestSilhouette:
     def test_well_separated_identical_pairs(self):
         data = LabeledVectorSet(np.array([[0.0], [0.0], [9.0], [9.0]]), ("L", "L", "R", "R"))
@@ -286,6 +311,29 @@ class TestSilhouette:
             expected = silhouette_oracle(vectors, labels)
             assert got == pytest.approx(expected, abs=1e-9)
             assert -1.0 <= got <= 1.0
+
+    def test_row_blocks_equal_whole_tensor_form(self):
+        # The criterion-9 random sets, half with duplicated points; n runs past
+        # one row block, so block edges are crossed.
+        rng = np.random.default_rng(662607)
+        py_rng = random.Random(662607)
+        for case in range(100):
+            n = py_rng.randint(5, 200)
+            dims = py_rng.randint(1, 32)
+            n_labels = py_rng.randint(2, 5)
+            vectors = rng.normal(size=(n, dims)) * py_rng.uniform(0.5, 4.0)
+            labels = [py_rng.randrange(n_labels) for _ in range(n)]
+            labels[:n_labels] = list(range(n_labels))
+            if case % 2:
+                for i in py_rng.sample(range(n), n // 3):
+                    vectors[i] = vectors[py_rng.randrange(n)]
+            data = LabeledVectorSet(vectors, tuple(labels))
+            assert silhouette(data) == silhouette_whole_tensor(data)
+
+    def test_row_blocks_score_coincident_clusters_zero(self):
+        # a = b = 0 for every point: two clusters stacked on one location.
+        data = LabeledVectorSet(np.ones((150, 3)), tuple(i % 2 for i in range(150)))
+        assert silhouette(data) == silhouette_whole_tensor(data) == 0.0
 
     def test_csv_ingestion(self):
         text = "label,x,y\nL,0,0\nL,0,1\nR,9,0\nR,9,1\n"

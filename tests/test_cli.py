@@ -509,3 +509,64 @@ class TestCheckMapAndSuggest:
         assert payload["suggestions"] == [
             {"unknown": "t̪", "candidate": "t", "reason": "diacritic"}
         ]
+
+
+def assert_clean_error(proc, *fragments):
+    """Exit 2 with one ``error:`` line naming each fragment, and no traceback."""
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+class TestUserFileErrors:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["convert", "--backend", "passthrough", "--uncorrected", "{missing}"],
+            ["stats", "{missing}.csv"],
+            ["stats", "{missing}.txt"],
+            ["info", "{missing}.csv"],
+            ["match", "--inventory", "{inventory}", "{missing}.json"],
+            ["validate", "--inventory", "{inventory}", *FRENCH_ARGS, "{missing}.json"],
+            ["suggest", "--inventory", "{inventory}", *FRENCH_ARGS, "{missing}.json"],
+            ["check-map", "{missing}.fold"],
+        ],
+    )
+    def test_missing_input_exits_two(self, command, fixtures, tmp_path):
+        missing = str(tmp_path / "missing")
+        inventory_csv = str(fixtures / "french_inventory.csv")
+        argv = [arg.format(missing=missing, inventory=inventory_csv) for arg in command]
+        assert_clean_error(popen_cli(*argv), "No such file", missing)
+
+    @pytest.mark.parametrize("command", ["convert", "info"])
+    def test_unwritable_output_exits_two(self, command, fixtures, tmp_path):
+        target = str(tmp_path / "missing" / "x.txt")
+        if command == "convert":
+            argv = ["convert", "--backend", "passthrough", "--uncorrected"]
+            argv += ["--output", target, str(fixtures / "french_backend_output.txt")]
+        else:
+            argv = ["info", "--output", target, str(fixtures / "corpus_small.csv")]
+        assert_clean_error(popen_cli(*argv), "No such file", target)
+
+    @pytest.mark.parametrize(
+        "content, fragments",
+        [
+            ("not json\n", ["line 1:", "not JSON"]),
+            ('{"observed_segments": ["a",\n  "b"\n', ["line 3:", "not JSON"]),
+            ('{"observed_segments": [""]}', ["non-empty"]),
+            ('{"observed_segments": ["a", 5]}', ["list of strings"]),
+            ('{"segments": ["a"]}', ["observed_segments"]),
+            ("7", ["list of strings"]),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["match", "validate"])
+    def test_malformed_observed_json_exits_two(
+        self, command, content, fragments, fixtures, tmp_path
+    ):
+        observed = tmp_path / "observed.json"
+        observed.write_text(content, encoding="utf-8")
+        inventory = ["--inventory", str(fixtures / "french_inventory.csv"), *FRENCH_ARGS]
+        assert_clean_error(popen_cli(command, *inventory, str(observed)), str(observed), *fragments)

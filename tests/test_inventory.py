@@ -1,12 +1,17 @@
+import csv
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonofold.analysis import eligible_features
 from phonofold.errors import FormatError, UnknownFeatureError, UnknownSegmentError
 from phonofold.inventory import (
+    REQUIRED_COLUMNS,
+    SEGMENT_CLASSES,
     CountProfile,
+    Inventory,
     InventorySegment,
     TernaryValue,
     best_match,
@@ -177,3 +182,165 @@ def test_profile_stable_under_stream_round_trip(texts):
     stream = parse_stream(" ".join(texts))
     round_tripped = parse_stream(emit_stream(stream, keep_word_boundaries=True))
     assert count_profile(segment_types(round_tripped)) == count_profile(segment_types(stream))
+
+
+def eager_load_oracle(text):
+    """The one-dict-per-row loader, kept as the reference for ``load_inventories``.
+
+    Every row builds its own IpaSegment and its own feature dict, each cell
+    decoded with the plain if-chain.
+    """
+
+    def from_cell(cell):
+        cell = cell.strip()
+        if cell == "+":
+            return TernaryValue.PLUS
+        if cell == "-":
+            return TernaryValue.MINUS
+        return TernaryValue.UNSPECIFIED
+
+    name = "<oracle>"
+    reader = csv.reader(io.StringIO(text))
+    header = [col.strip() for col in next(reader)]
+    positions = {col: header.index(col) for col in REQUIRED_COLUMNS}
+    feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
+    feature_positions = [header.index(col) for col in feature_names]
+    grouped = {}
+    for line_num, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(header):
+            raise FormatError("row has fewer cells than the header", source=name, line=line_num)
+        try:
+            inv_id = int(row[positions["InventoryID"]])
+        except ValueError:
+            raise FormatError(
+                f"bad InventoryID {row[positions['InventoryID']]!r}", source=name, line=line_num
+            ) from None
+        seg_text = row[positions["Phoneme"]].strip()
+        seg_class = row[positions["SegmentClass"]].strip().lower()
+        if seg_class not in SEGMENT_CLASSES:
+            raise FormatError(f"unknown SegmentClass {seg_class!r}", source=name, line=line_num)
+        try:
+            segment = IpaSegment(seg_text)
+        except ValueError as exc:
+            raise FormatError(str(exc), source=name, line=line_num) from None
+        features = {
+            fname: from_cell(row[pos]) for fname, pos in zip(feature_names, feature_positions)
+        }
+        entry = grouped.setdefault(
+            inv_id,
+            {
+                "language": row[positions["LanguageName"]].strip(),
+                "iso": row[positions["ISO6393"]].strip(),
+                "segments": [],
+                "seen": set(),
+            },
+        )
+        if segment in entry["seen"]:
+            raise FormatError(
+                f"duplicate segment {segment!r} in inventory {inv_id}", source=name, line=line_num
+            )
+        entry["seen"].add(segment)
+        entry["segments"].append(InventorySegment(segment, seg_class, features))
+    return [
+        Inventory(inv_id, data["language"], data["iso"], tuple(data["segments"]))
+        for inv_id, data in grouped.items()
+    ]
+
+
+FEATURE_CELLS = ["+", "-", " + ", " -", "+,-", "", "0", "junk"]
+# "é" precomposed and decomposed are one segment, so they can collide as duplicates.
+PHONEMES = ["a", "b", "ʒ", "tʃ", "aː", "é", "é", "ɔɪ", "˥"]
+BAD_CELLS = {"InventoryID": "x1", "SegmentClass": "glide", "Phoneme": "WORD_BOUNDARY"}
+
+
+@st.composite
+def inventory_csvs(draw):
+    """The text of a PHOIBLE-shaped CSV.
+
+    Columns come in any order; one feature name may appear twice. Every row
+    draws its cells from a pool of up to three cell rows, so rows often share
+    cells, and one phoneme can carry different features in different
+    inventories. Blank rows are mixed in, and at times one row is made bad.
+    """
+    features = draw(st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=5, unique=True))
+    if features and draw(st.booleans()):
+        features.append(draw(st.sampled_from(features)))
+    header = draw(st.permutations(list(REQUIRED_COLUMNS) + [f"feat_{f}" for f in features]))
+    rows = []
+    cell_row = st.fixed_dictionaries(
+        {f"feat_{f}": st.sampled_from(FEATURE_CELLS) for f in features}
+    )
+    cell_rows = draw(st.lists(cell_row, min_size=1, max_size=3))
+    for inv_id in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)):
+        for phoneme in draw(st.lists(st.sampled_from(PHONEMES), max_size=6, unique=True)):
+            cells = draw(st.sampled_from(cell_rows))
+            fixed = {
+                "InventoryID": str(inv_id),
+                "LanguageName": f"Lang{inv_id}",
+                "ISO6393": "qaa",
+                "Phoneme": phoneme,
+                "SegmentClass": draw(st.sampled_from(["vowel", "consonant", "tone", " Vowel "])),
+            }
+            rows.append([fixed.get(col, cells.get(col)) for col in header])
+    defect = draw(st.sampled_from([None, None, None, "short", *BAD_CELLS]))
+    if defect and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if defect == "short":
+            row.pop()
+        else:
+            row[header.index(defect)] = BAD_CELLS[defect]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "] * 3])))
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *rows])
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inventory_csvs(), st.sets(st.sampled_from(PHONEMES), max_size=5))
+def test_loader_agrees_with_eager_oracle(text, observed):
+    try:
+        expected = eager_load_oracle(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as raised:
+            load_csv(text)
+        assert str(raised.value) == str(exc).replace("<oracle>", "<file>")
+        return
+    got = load_csv(text)
+    assert got == expected
+    header = next(csv.reader(io.StringIO(text)))
+    names = [col.strip() for col in header if col.strip() not in REQUIRED_COLUMNS]
+    for inv, want in zip(got, expected):
+        assert eligible_features(inv) == eligible_features(want)
+        assert eligible_features(inv, min_each=1) == eligible_features(want, min_each=1)
+        for seg in inv.segments:
+            for feature in names:
+                assert feature_of(inv, seg.segment, feature) is feature_of(
+                    want, seg.segment, feature
+                )
+    if expected:
+        ranked = [(inv.id, score) for inv, score in best_match(observed, got)]
+        assert ranked == [(inv.id, score) for inv, score in best_match(observed, expected)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(inventory_csvs())
+def test_equal_cells_share_one_read_only_mapping(text):
+    try:
+        invs = load_csv(text)
+    except FormatError:
+        return
+    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
+    header = [col.strip() for col in rows[0]]
+    feature_positions = [i for i, col in enumerate(header) if col not in REQUIRED_COLUMNS]
+    id_pos, phoneme_pos = header.index("InventoryID"), header.index("Phoneme")
+    by_key = {(inv.id, seg.segment): seg for inv in invs for seg in inv.segments}
+    shared = {}
+    for row in rows[1:]:
+        seg = by_key[(int(row[id_pos]), IpaSegment(row[phoneme_pos].strip()))]
+        cells = tuple(row[pos] for pos in feature_positions)
+        assert shared.setdefault(cells, seg.features) is seg.features
+        with pytest.raises(TypeError):
+            seg.features["feat_a"] = TernaryValue.PLUS
