@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
 from .errors import ConfigError, FormatError, PhonofoldError
-from .stream import IpaSegment, as_segments, emit_stream, open_text, parse_stream, segment_types
+from .stream import IpaSegment, as_segments, open_text, parse_stream, segment_types
 
 INVENTORY_ENV = "PHONOFOLD_INVENTORY"
 
@@ -210,30 +210,31 @@ def _load_inventories(cfg: RunConfig) -> list[inventory.Inventory]:
     return inventories
 
 
-def _read_observed(path: str) -> set[IpaSegment]:
-    """Observed segment set from a summary JSON, corpus CSV, or stream file."""
-    suffix = Path(path).suffix.lower()
-    observed: set[IpaSegment] = set()
+def _input_streams(path: str):
+    """``parse_stream`` of each line of a text file, or of each ``phonemized`` cell of a CSV."""
     with _open_user_file(path) as handle:
-        if suffix == ".json":
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"not JSON: {exc.msg}", source=path, line=exc.lineno) from None
-            segments = payload.get("observed_segments") if isinstance(payload, dict) else payload
-            if not isinstance(segments, list) or not all(isinstance(s, str) for s in segments):
-                raise FormatError("expected observed_segments: a list of strings", source=path)
-            observed.update(as_segments(segments, path, None))
-        elif suffix == ".csv":
+        lines = handle
+        if Path(path).suffix.lower() == ".csv":
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or "phonemized" not in reader.fieldnames:
                 raise ConfigError(f"{path}: no phonemized column to read segments from")
-            for row in reader:
-                observed |= segment_types(parse_stream(row["phonemized"] or ""))
-        else:
-            for line in handle:
-                observed |= segment_types(parse_stream(line))
-    return observed
+            lines = (row["phonemized"] or "" for row in reader)
+        yield from map(parse_stream, lines)
+
+
+def _read_observed(path: str) -> set[IpaSegment]:
+    """Observed segment set from a summary JSON, or from the streams of any other file."""
+    if Path(path).suffix.lower() != ".json":
+        return {segment for stream in _input_streams(path) for segment in segment_types(stream)}
+    with _open_user_file(path) as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"not JSON: {exc.msg}", source=path, line=exc.lineno) from None
+    segments = payload.get("observed_segments") if isinstance(payload, dict) else payload
+    if not isinstance(segments, list) or not all(isinstance(s, str) for s in segments):
+        raise FormatError("expected observed_segments: a list of strings", source=path)
+    return set(as_segments(segments, path, None))
 
 
 def cmd_convert(args) -> int:
@@ -245,17 +246,12 @@ def cmd_convert(args) -> int:
     sink = sys.stdout if args.output in (None, "-") else args.output
     with _open_user_file(source) as lines, _open_user_file(sink, "w") as out_handle:
         for line_num, line in enumerate(lines, start=1):
-            line = line.rstrip("\n")
-            try:
-                stream, _ = g2p.convert_utterance(backend, line, keep_word_boundaries=True)
-                if fold_map is not None:
-                    stream = folding.apply_fold(fold_map, stream)
-                out = emit_stream(stream, keep_word_boundaries=cfg.keep_word_boundaries)
-            except PhonofoldError as exc:
-                print(f"line {line_num}: {exc}", file=sys.stderr)
+            record = corpus.UtteranceRecord(gloss=line.rstrip("\n"))
+            record, *_ = corpus.convert_record(record, backend, fold_map, cfg.keep_word_boundaries)
+            if record.error:
+                print(f"line {line_num}: {record.error}", file=sys.stderr)
                 had_error = True
-                out = ""
-            print(out, file=out_handle)
+            print(record.phonemized, file=out_handle)
     return 1 if had_error else 0
 
 
@@ -294,12 +290,8 @@ def cmd_corpus(args) -> int:
             raise ConfigError(f"cannot write {path}")
 
     row_errors: list = []
-    with _open_user_file(args.input) as handle:
-        records = list(
-            corpus.read_corpus(
-                handle, schema=schema, child_role=cfg.child_role, row_errors=row_errors
-            )
-        )
+    with _user_file():
+        records = list(corpus.read_corpus(args.input, schema, cfg.child_role, row_errors))
 
     started = time.perf_counter()
     converted, summary = corpus.convert_corpus(
@@ -324,20 +316,9 @@ def cmd_corpus(args) -> int:
     return 1 if summary.errors or row_errors else 0
 
 
-def _streams_from_input(path: str, cfg: RunConfig):
-    suffix = Path(path).suffix.lower()
-    with _open_user_file(path) as handle:
-        if suffix == ".csv":
-            schema = dict(corpus.DEFAULT_SCHEMA) | cfg.schema
-            records = list(corpus.read_corpus(handle, schema=schema, child_role=cfg.child_role))
-            return [parse_stream(r.phonemized) for r in records if r.phonemized], records
-        return [parse_stream(line) for line in handle], None
-
-
 def cmd_stats(args) -> int:
-    cfg = build_run_config(args)
-    streams, _ = _streams_from_input(args.input, cfg)
-    counts = analysis.frequency_table(streams)
+    build_run_config(args)  # rejects a bad --config file
+    counts = analysis.frequency_table(_input_streams(args.input))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if args.json:
         print(json.dumps({seg: n for seg, n in ordered}, ensure_ascii=False, indent=2))
@@ -351,12 +332,9 @@ def cmd_stats(args) -> int:
 def cmd_info(args) -> int:
     cfg = build_run_config(args)
     schema = dict(corpus.DEFAULT_SCHEMA) | cfg.schema
-    with _open_user_file(args.input) as handle:
-        records = [
-            r
-            for r in corpus.read_corpus(handle, schema=schema, child_role=cfg.child_role)
-            if not r.is_child
-        ]
+    with _user_file():
+        records = corpus.read_corpus(args.input, schema, cfg.child_role)
+        records = [r for r in records if not r.is_child]
     points = analysis.info_by_age(
         records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=cfg.seed
     )
@@ -442,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="phoneme frequency table")
     _add_common(p)
-    p.add_argument("input", help="corpus CSV or phoneme-stream text")
-    p.add_argument("--schema", action="append", metavar="FIELD=COLUMN")
+    p.add_argument("input", help="corpus CSV (its phonemized column) or phoneme-stream text")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stats)
 

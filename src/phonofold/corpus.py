@@ -163,12 +163,13 @@ class RunSummary:
         }
 
 
-def _convert_one(
+def convert_record(
     record: UtteranceRecord,
     backend,
     fold_map: FoldMap | None,
     keep_word_boundaries: bool,
-):
+) -> tuple[UtteranceRecord, set[str], set[str]]:
+    """Convert, fold and emit one record's gloss; any exception becomes the record's error."""
     try:
         # Streams are built with word boundaries so folding never matches
         # across words; the caller's flag only controls emission.
@@ -201,7 +202,7 @@ def convert_corpus(
         raise ValueError("fold_map is required unless uncorrected is set")
     records = list(records)
     job = partial(
-        _convert_one,
+        convert_record,
         backend=backend,
         fold_map=None if uncorrected else fold_map,
         keep_word_boundaries=keep_word_boundaries,

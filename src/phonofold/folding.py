@@ -17,7 +17,7 @@ from .chars import classify_segment, strip_marks
 from .errors import FormatError
 from .g2p import DELETION_MARK, RewriteRule, _split_rule_line
 from .inventory import Inventory
-from .stream import IpaSegment, PhonemeStream, as_segments, repair_tokens
+from .stream import IpaSegment, PhonemeStream, as_segments, read_text, repair_tokens
 
 
 class RuleKind(Enum):
@@ -95,8 +95,7 @@ def parse_fold_map(text: str, source: str = "<string>") -> FoldMap:
 
 
 def load_fold_map(path) -> FoldMap:
-    with open(path, encoding="utf-8") as handle:
-        return parse_fold_map(handle.read(), source=str(path))
+    return parse_fold_map(read_text(path), source=str(path))
 
 
 def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
@@ -110,7 +109,7 @@ def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
         if rule.lhs[0] in present:  # otherwise the rule cannot match
             tokens = rule.apply(tokens)
             present = set(tokens)
-    return PhonemeStream(repair_tokens(tokens))
+    return repair_tokens(tokens)
 
 
 def check_fold_map(fold_map: FoldMap) -> list[str]:

@@ -30,7 +30,8 @@ from .errors import (
     ToneAttachmentError,
     UnknownSegmentError,
 )
-from .stream import Boundary, IpaSegment, PhonemeStream, as_segments, parse_stream, repair_tokens
+from .stream import Boundary, IpaSegment, PhonemeStream, as_segments, parse_stream
+from .stream import read_text, repair_tokens
 
 DELETION_MARK = "∅"
 
@@ -312,9 +313,6 @@ class PassthroughBackend:
     def convert_line(self, text: str) -> tuple[list, set[str]]:
         return list(parse_stream(text)), set()
 
-    def convert_word(self, word: str) -> tuple[list[IpaSegment], set[str]]:
-        return [IpaSegment(word)], set()
-
 
 def convert_utterance(
     backend, text: str, keep_word_boundaries: bool = False
@@ -350,7 +348,7 @@ def convert_utterance(
 
     if tokens and tokens[-1] is not Boundary.UTT:
         tokens.append(Boundary.UTT)
-    return PhonemeStream(repair_tokens(tokens)), unmapped
+    return repair_tokens(tokens), unmapped
 
 
 # --- file formats -----------------------------------------------------------
@@ -435,8 +433,7 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
 
 
 def load_rule_file(path) -> RuleSet:
-    with open(path, encoding="utf-8") as handle:
-        return parse_rule_file(handle.read(), source=str(path))
+    return parse_rule_file(read_text(path), source=str(path))
 
 
 def parse_lexicon(text: str, source: str = "<string>") -> Lexicon:
@@ -461,8 +458,7 @@ def parse_lexicon(text: str, source: str = "<string>") -> Lexicon:
 
 
 def load_lexicon(path) -> Lexicon:
-    with open(path, encoding="utf-8") as handle:
-        return parse_lexicon(handle.read(), source=str(path))
+    return parse_lexicon(read_text(path), source=str(path))
 
 
 def parse_syllable_table(
@@ -491,14 +487,14 @@ def parse_syllable_table(
         segments = as_segments(parts[1].split(), source, line_num)
         if not segments:
             raise FormatError("entry needs at least one segment", source=source, line=line_num)
-        tone = _nfd(parts[2].strip()) if len(parts) == 3 and parts[2].strip() else None
+        tone_text = parts[2].strip() if len(parts) == 3 else ""
+        tone = as_segments([tone_text], source, line_num)[0] if tone_text else None
         entries[key] = (segments, tone)
         first_line[key] = line_num
     return SyllableTable(entries, frozenset(IpaSegment(s) for s in syllabic_segments))
 
 
 def load_syllable_table(path, syllabic_segments: Iterable[str] = ()) -> SyllableTable:
-    with open(path, encoding="utf-8") as handle:
-        return parse_syllable_table(
-            handle.read(), source=str(path), syllabic_segments=syllabic_segments
-        )
+    return parse_syllable_table(
+        read_text(path), source=str(path), syllabic_segments=syllabic_segments
+    )

@@ -3,7 +3,9 @@
 A stream is an ordered sequence of tokens: IPA segments (one phoneme each,
 possibly several characters) and reserved word/utterance boundary markers.
 The text form is a single line of space-separated tokens, with the literals
-WORD_BOUNDARY and UTT_BOUNDARY marking boundaries.
+WORD_BOUNDARY and UTT_BOUNDARY marking boundaries. Inside the package every
+stream comes from ``repair_tokens``, which makes the boundary invariants hold
+as it builds; ``PhonemeStream(tokens)`` is the checked public door.
 """
 
 from __future__ import annotations
@@ -61,10 +63,33 @@ def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[I
 
 
 def open_text(source, mode: str = "r"):
-    """A context manager over a text handle: an open handle as is, a path opened as UTF-8."""
+    """A context manager over a text handle: an open handle as is, a path opened now as UTF-8.
+
+    Reading text that is not UTF-8 in the block is a FormatError naming the file.
+    """
     if hasattr(source, "read") or hasattr(source, "write"):
-        return contextlib.nullcontext(source)
-    return open(source, mode, encoding="utf-8", newline="")
+        return _text_handle(source, mode, close=False)
+    return _text_handle(open(source, mode, encoding="utf-8", newline=""), mode, close=True)
+
+
+@contextlib.contextmanager
+def _text_handle(handle, mode: str, close: bool):
+    try:
+        yield handle
+    except UnicodeDecodeError as exc:
+        if "r" not in mode:
+            raise
+        name, byte = getattr(handle, "name", "<file>"), exc.object[exc.start]
+        raise FormatError(f"not UTF-8 text (byte 0x{byte:02x})", source=name) from None
+    finally:
+        if close:
+            handle.close()
+
+
+def read_text(path) -> str:
+    """The whole text of a UTF-8 file."""
+    with open_text(path) as handle:
+        return handle.read()
 
 
 StreamToken = Union[IpaSegment, Boundary]
@@ -80,26 +105,25 @@ def _coerce_token(token) -> StreamToken:
     return IpaSegment(token)
 
 
-def repair_tokens(tokens: Iterable[StreamToken]) -> tuple[StreamToken, ...]:
-    """Drop redundant word boundaries so the adjacency invariants hold.
+def repair_tokens(tokens: Iterable) -> PhonemeStream:
+    """The tokens, each coerced, as a stream with redundant word boundaries dropped.
 
     Runs of WordBoundary collapse to one, a WordBoundary next to an
     UttBoundary (either side) is dropped, since the utterance boundary
-    subsumes it, and so is a WordBoundary with nothing before it.
+    subsumes it, and so is a WordBoundary with nothing before it. The
+    adjacency invariants so hold by construction and are not checked again.
     """
     out: list[StreamToken] = []
-    for token in tokens:
+    for token in map(_coerce_token, tokens):
         if token is Boundary.WORD:
             if not out or isinstance(out[-1], Boundary):
                 continue  # leading, or redundant next to another boundary
-            out.append(token)
-        elif token is Boundary.UTT:
-            if out and out[-1] is Boundary.WORD:
-                out.pop()
-            out.append(token)
-        else:
-            out.append(token)
-    return tuple(out)
+        elif token is Boundary.UTT and out and out[-1] is Boundary.WORD:
+            out.pop()
+        out.append(token)
+    stream = object.__new__(PhonemeStream)
+    stream._tokens = tuple(out)
+    return stream
 
 
 class PhonemeStream:
@@ -148,8 +172,7 @@ def parse_stream(text: str) -> PhonemeStream:
     boundary tokens; adjacency violations are repaired by dropping redundant
     word boundaries. Total on text lines: an empty line is an empty stream.
     """
-    tokens = [_coerce_token(t) for t in text.split()]
-    return PhonemeStream(repair_tokens(tokens))
+    return repair_tokens(text.split())
 
 
 def emit_stream(stream: PhonemeStream, keep_word_boundaries: bool = True) -> str:

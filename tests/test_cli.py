@@ -189,6 +189,25 @@ class TestConvert:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
+    def test_any_failing_line_is_reported_and_the_rest_converted(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        class FlakyBackend:
+            def convert_line(self, text):
+                if text == "boom":
+                    raise RuntimeError("backend fell over")
+                return text.split(), set()
+
+        monkeypatch.setattr("phonofold.cli.build_backend", lambda cfg: FlakyBackend())
+        lines = tmp_path / "lines.txt"
+        lines.write_text("a b\nboom\nc\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "convert", "--backend", "passthrough", "--uncorrected", str(lines)
+        )
+        assert code == 1
+        assert out == "a b\n\nc\n"
+        assert err == "line 2: RuntimeError: backend fell over\n"
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("bogus = 1\n", encoding="utf-8")
@@ -446,6 +465,36 @@ class TestStatsAndInfo:
         assert code == 0
         assert out.splitlines()[0].split() == ["a", "2"]
 
+    def test_stats_csv_equals_its_phonemized_cells_as_text(self, capsys, tmp_path):
+        cells = ["a b a", "", "b WORD_BOUNDARY c", "a UTT_BOUNDARY d"]
+        corpus_csv = tmp_path / "converted.csv"
+        corpus_csv.write_text(
+            "gloss,phonemized,errors\n"
+            + "".join(f'x,"{cell}",\n' for cell in cells)
+            + 'y,"a\nb",\n',  # a quoted cell may span lines
+            encoding="utf-8",
+        )
+        streams = tmp_path / "streams.txt"
+        streams.write_text("".join(f"{cell}\n" for cell in cells) + "a b\n", encoding="utf-8")
+        code, from_csv, _ = run(capsys, "stats", str(corpus_csv), "--json")
+        assert code == 0
+        code, from_text, _ = run(capsys, "stats", str(streams), "--json")
+        assert code == 0
+        assert from_csv == from_text
+        assert json.loads(from_csv) == {"a": 4, "b": 3, "c": 1, "d": 1}
+
+    def test_stats_csv_without_phonemized_column_exits_two(self, capsys, fixtures):
+        code, out, err = run(capsys, "stats", str(fixtures / "corpus_small.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "phonemized" in err
+
+    def test_stats_takes_no_schema(self, capsys, fixtures):
+        with pytest.raises(SystemExit) as info:
+            main(["stats", "--schema", "gloss=text", str(fixtures / "corpus_small.csv")])
+        assert info.value.code == 2
+        assert "--schema" in capsys.readouterr().err
+
     def test_info_two_buckets(self, capsys, tmp_path):
         corpus_csv = tmp_path / "converted.csv"
         corpus_csv.write_text(
@@ -570,3 +619,72 @@ class TestUserFileErrors:
         observed.write_text(content, encoding="utf-8")
         inventory = ["--inventory", str(fixtures / "french_inventory.csv"), *FRENCH_ARGS]
         assert_clean_error(popen_cli(command, *inventory, str(observed)), str(observed), *fragments)
+
+
+class TestUndecodableFiles:
+    """A user file holding a byte that is not UTF-8 is one error line naming it."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["convert", "--backend", "rules", "--rules", "{bad}.rules", "{good}"],
+            ["convert", "--backend", "lexicon", "--lexicon", "{bad}.lex", "{good}"],
+            ["convert", "--backend", "syllabary", "--table", "{bad}.tsv", "{good}"],
+            ["convert", "--backend", "passthrough", "--fold", "{bad}.fold", "{good}"],
+            ["check-map", "{bad}.fold"],
+            ["convert", "--backend", "passthrough", "--uncorrected", "{bad}.txt"],
+            ["corpus", "--backend", "passthrough", "--uncorrected"]
+            + ["--input", "{bad}.csv", "--output", "{out}"],
+            ["info", "{bad}.csv"],
+            ["stats", "{bad}.csv"],
+            ["stats", "{bad}.txt"],
+            ["match", "--inventory", "{bad}.csv", "{good}"],
+            ["match", "--inventory", "{inventory}", "{bad}.txt"],
+            ["match", "--inventory", "{inventory}", "{bad}.csv"],
+            ["validate", "--inventory", "{inventory}", *FRENCH_ARGS, "{bad}.json"],
+        ],
+        ids=[
+            "rule-file",
+            "lexicon",
+            "syllable-table",
+            "fold-map",
+            "check-map",
+            "convert-input",
+            "corpus-input",
+            "info-input",
+            "stats-csv",
+            "stats-text",
+            "inventory-csv",
+            "observed-text",
+            "observed-csv",
+            "observed-json",
+        ],
+    )
+    def test_exits_two_naming_the_file(self, command, fixtures, tmp_path):
+        bad = tmp_path / "latin1"
+        for suffix in (".rules", ".lex", ".tsv", ".fold", ".txt", ".json"):
+            bad.with_suffix(suffix).write_bytes(b"a \xe9\n")
+        header = (fixtures / "corpus_small.csv").read_bytes().splitlines(keepends=True)[:2]
+        bad.with_suffix(".csv").write_bytes(b"".join(header) + b"u3,t,c,col,MOT,6,\xe9,1,n\n")
+        values = {
+            "bad": str(bad),
+            "good": str(fixtures / "french_backend_output.txt"),
+            "inventory": str(fixtures / "french_inventory.csv"),
+            "out": str(tmp_path / "out.csv"),
+        }
+        argv = [arg.format(**values) for arg in command]
+        assert_clean_error(popen_cli(*argv), str(bad), "not UTF-8")
+
+
+@pytest.mark.parametrize(
+    "row, extra",
+    [("ma\tm a\t˥ ˩\n", []), ("ma\tm a\tWORD_BOUNDARY\n", ["--split-tones"])],
+    ids=["tone-with-space", "tone-boundary-literal"],
+)
+def test_bad_syllable_table_tone_exits_two(row, extra, tmp_path):
+    table = tmp_path / "bad.tsv"
+    table.write_text("de\td ə\n" + row, encoding="utf-8")
+    lines = tmp_path / "lines.txt"
+    lines.write_text("ma\n", encoding="utf-8")
+    argv = ["convert", "--backend", "syllabary", "--table", str(table), "--uncorrected", *extra]
+    assert_clean_error(popen_cli(*argv, str(lines)), f"{table}: line 2: ")

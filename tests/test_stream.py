@@ -9,12 +9,16 @@ from phonofold.folding import parse_fold_map
 from phonofold.g2p import parse_lexicon, parse_rule_file, parse_syllable_table
 from phonofold.inventory import load_inventories
 from phonofold.stream import (
+    UTT_BOUNDARY,
+    WORD_BOUNDARY,
     Boundary,
     IpaSegment,
     PhonemeStream,
     emit_stream,
     open_text,
     parse_stream,
+    read_text,
+    repair_tokens,
     segment_types,
 )
 
@@ -134,9 +138,18 @@ def _inventory(text, source):
         (parse_fold_map, "a -> b\n# c\n\nb -> WORD_BOUNDARY\n"),
         (parse_lexicon, "a\ta\nb\tb\n\nc\tUTT_BOUNDARY\n"),
         (parse_syllable_table, "a\ta\nb\tb\n\nc\tWORD_BOUNDARY\t˥\n"),
+        (parse_syllable_table, "a\ta\nb\tb\n\nc\tc\tWORD_BOUNDARY\n"),
         (_inventory, "1,L,xxx,a,vowel\n\n1,L,xxx,WORD_BOUNDARY,consonant\n"),
     ],
-    ids=["post-rule", "map-entry", "fold-rule", "lexicon-row", "syllable-row", "inventory-row"],
+    ids=[
+        "post-rule",
+        "map-entry",
+        "fold-rule",
+        "lexicon-row",
+        "syllable-row",
+        "syllable-tone",
+        "inventory-row",
+    ],
 )
 def test_reserved_literal_named_once_with_file_and_line(load, text):
     with pytest.raises(FormatError) as info:
@@ -146,12 +159,30 @@ def test_reserved_literal_named_once_with_file_and_line(load, text):
     assert "reserved boundary literal" in message
 
 
+def test_syllable_tone_with_whitespace_is_named_with_file_and_line():
+    with pytest.raises(FormatError, match=r"^x\.tsv: line 2: segment '˥ ˩' contains whitespace"):
+        parse_syllable_table("a\ta\nma\tm a\t˥ ˩\n", source="x.tsv")
+
+
 class TestOpenText:
     def test_handle_passes_through_open(self):
         handle = io.StringIO("a")
         with open_text(handle) as same:
             assert same is handle
         assert not handle.closed
+
+    def test_path_that_is_not_utf8_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"a \xe9\n")
+        with pytest.raises(FormatError, match="latin1.txt: not UTF-8 text \\(byte 0xe9\\)"):
+            read_text(path)
+        with pytest.raises(FormatError, match="latin1.txt"), open_text(str(path)) as handle:
+            list(handle)
+        assert handle.closed
+
+    def test_decode_error_passes_a_write_handle_unchanged(self, tmp_path):
+        with pytest.raises(UnicodeDecodeError), open_text(tmp_path / "out.txt", "w"):
+            b"\xe9".decode("utf-8")
 
     def test_path_opened_as_utf8_and_closed(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -202,3 +233,65 @@ def test_emission_without_flag_never_contains_word_boundary_literal(stream):
 def test_parse_is_total_and_reparse_stable(text):
     stream = parse_stream(text)
     assert parse_stream(emit_stream(stream, keep_word_boundaries=True)) == stream
+
+
+# --- the one-pass builder against a two-pass oracle ---------------------
+
+
+def repair_oracle(tokens):
+    """Coerce every token, then drop redundant word boundaries: two passes, not one."""
+    literals = {WORD_BOUNDARY: W, UTT_BOUNDARY: U}
+    coerced = [
+        t if isinstance(t, (IpaSegment, Boundary)) else literals.get(t) or IpaSegment(t)
+        for t in tokens
+    ]
+    out = []
+    for token in coerced:
+        if token is W:
+            if not out or isinstance(out[-1], Boundary):
+                continue
+            out.append(token)
+        elif token is U:
+            if out and out[-1] is W:
+                out.pop()
+            out.append(token)
+        else:
+            out.append(token)
+    return tuple(out)
+
+
+segment_texts = st.text(alphabet=SEGMENT_ALPHA + "ô", min_size=1, max_size=3)
+boundary_tokens = st.sampled_from([W, U, WORD_BOUNDARY, UTT_BOUNDARY])
+boundary_runs = st.lists(boundary_tokens, min_size=1, max_size=4)
+
+
+@st.composite
+def raw_token_lists(draw):
+    """Segments as str or IpaSegment, with boundary runs at the edges and between them."""
+    one_segment = st.one_of(segment_texts, segments).map(lambda t: [t])
+    pieces = draw(st.lists(st.one_of(one_segment, boundary_runs), max_size=10))
+    edges = st.lists(boundary_tokens, max_size=3)
+    return draw(edges) + [t for piece in pieces for t in piece] + draw(edges)
+
+
+@given(raw_token_lists())
+def test_builder_equals_checked_constructor_over_oracle(tokens):
+    built = repair_tokens(tokens)
+    assert type(built) is PhonemeStream
+    assert built == PhonemeStream(repair_oracle(tokens))
+    PhonemeStream(list(built))  # the public checks accept what the builder made
+    assert PhonemeStream(built) == built
+
+
+@pytest.mark.parametrize("token", ["", "a b", "a\tb", " "])
+def test_builder_still_coerces_every_token(token):
+    with pytest.raises(ValueError):
+        repair_tokens(["a", W, token])
+    with pytest.raises(ValueError):
+        PhonemeStream(["a", W, token])
+
+
+def test_parse_stream_normalizes_every_token():
+    stream = parse_stream("ô WORD_BOUNDARY o")
+    assert stream.tokens == (IpaSegment("ô"), W, IpaSegment("o"))
+    assert str(stream[0]) == "o\u0302"
