@@ -37,7 +37,7 @@ DEFAULT_SCHEMA = {
 OUTPUT_COLUMNS = ("phonemized", "is_child", "errors")
 
 _AGE_RE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
-_TRUE_VALUES = {"true", "1", "yes"}
+_TRUE_WORDS = {"true", "1", "yes", "on"}
 
 
 @dataclass
@@ -54,6 +54,11 @@ class UtteranceRecord:
     is_child: bool = False
     error: str = ""
     extra: dict = field(default_factory=dict)
+
+
+def is_true(text: str) -> bool:
+    """Whether a cell or config value spells true: true, 1, yes or on, in any case."""
+    return text.strip().lower() in _TRUE_WORDS
 
 
 def parse_age(age_text: str) -> float | None:
@@ -129,7 +134,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
             gloss=cell("gloss"),
             phonemized=row.get("phonemized") if "phonemized" in row else None,
             is_child=(
-                row["is_child"].strip().lower() in _TRUE_VALUES
+                is_true(row["is_child"])
                 if "is_child" in row
                 else speaker_role == child_role
             ),

@@ -17,7 +17,8 @@ from .chars import classify_segment, strip_marks
 from .errors import FormatError
 from .g2p import DELETION_MARK, RewriteRule, _split_rule_line
 from .inventory import Inventory
-from .stream import IpaSegment, PhonemeStream, as_segments, read_text, repair_tokens
+from .stream import IpaSegment, PhonemeStream, as_segments, content_lines, read_text
+from .stream import repair_tokens
 
 
 class RuleKind(Enum):
@@ -75,11 +76,8 @@ def parse_fold_map(text: str, source: str = "<string>") -> FoldMap:
     """
     rules: list[FoldRule] = []
     seen: dict[tuple, int] = {}
-    for line_num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lhs_tokens, rhs_tokens, context = _split_rule_line(line, source, line_num)
+    for line_num, raw in content_lines(text):
+        lhs_tokens, rhs_tokens, context = _split_rule_line(raw, source, line_num)
         if context is not None:
             raise FormatError("fold rules take no context", source=source, line=line_num)
         lhs = as_segments(lhs_tokens, source, line_num)

@@ -30,8 +30,8 @@ from .errors import (
     ToneAttachmentError,
     UnknownSegmentError,
 )
-from .stream import Boundary, IpaSegment, PhonemeStream, as_segments, parse_stream
-from .stream import read_text, repair_tokens
+from .stream import Boundary, IpaSegment, PhonemeStream, as_segments, coerce_token
+from .stream import content_lines, read_text, repair_tokens
 
 DELETION_MARK = "∅"
 
@@ -311,7 +311,7 @@ class PassthroughBackend:
     """Accepts text some external tool already phonemized."""
 
     def convert_line(self, text: str) -> tuple[list, set[str]]:
-        return list(parse_stream(text)), set()
+        return list(map(coerce_token, text.split())), set()
 
 
 def convert_utterance(
@@ -346,7 +346,9 @@ def convert_utterance(
             tokens.extend(segments)
             first = False
 
-    if tokens and tokens[-1] is not Boundary.UTT:
+    # One UttBoundary ends the stream, unless it holds only word boundaries.
+    last = next((t for t in reversed(tokens) if t is not Boundary.WORD), None)
+    if last is not None and last is not Boundary.UTT:
         tokens.append(Boundary.UTT)
     return repair_tokens(tokens), unmapped
 
@@ -411,10 +413,8 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
     post: list[RewriteRule] = []
     map_entries: list[tuple[str, tuple[IpaSegment, ...]]] = []
     section = None
-    for line_num, raw in enumerate(text.splitlines(), start=1):
+    for line_num, raw in content_lines(text):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if line in ("pre:", "map:", "post:"):
             section = line[:-1]
             continue
@@ -443,10 +443,8 @@ def parse_lexicon(text: str, source: str = "<string>") -> Lexicon:
     convention of pronunciation dictionaries.
     """
     entries: dict = {}
-    for line_num, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.rstrip("\n").split("\t")
+    for line_num, raw in content_lines(text):
+        parts = raw.split("\t")
         if len(parts) != 2:
             raise FormatError("expected 'word<TAB>segments'", source=source, line=line_num)
         word = _nfd(parts[0].strip()).casefold()
@@ -467,10 +465,8 @@ def parse_syllable_table(
     """Parse the three-column tab-separated syllable table format."""
     entries: dict = {}
     first_line: dict = {}
-    for line_num, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.rstrip("\n").split("\t")
+    for line_num, raw in content_lines(text):
+        parts = raw.split("\t")
         if len(parts) not in (2, 3):
             raise FormatError(
                 "expected 'romanization<TAB>segments[<TAB>tone]'", source=source, line=line_num

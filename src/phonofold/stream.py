@@ -92,10 +92,18 @@ def read_text(path) -> str:
         return handle.read()
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, raw line) for each line that is neither blank nor a # comment."""
+    for line_num, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_num, raw
+
+
 StreamToken = Union[IpaSegment, Boundary]
 
 
-def _coerce_token(token) -> StreamToken:
+def coerce_token(token) -> StreamToken:
     if isinstance(token, (IpaSegment, Boundary)):
         return token
     if token == WORD_BOUNDARY:
@@ -114,7 +122,7 @@ def repair_tokens(tokens: Iterable) -> PhonemeStream:
     adjacency invariants so hold by construction and are not checked again.
     """
     out: list[StreamToken] = []
-    for token in map(_coerce_token, tokens):
+    for token in map(coerce_token, tokens):
         if token is Boundary.WORD:
             if not out or isinstance(out[-1], Boundary):
                 continue  # leading, or redundant next to another boundary
@@ -132,7 +140,7 @@ class PhonemeStream:
     __slots__ = ("_tokens",)
 
     def __init__(self, tokens: Iterable = ()):
-        toks = tuple(_coerce_token(t) for t in tokens)
+        toks = tuple(coerce_token(t) for t in tokens)
         for prev, cur in zip(toks, toks[1:]):
             if prev is Boundary.WORD and cur is Boundary.WORD:
                 raise ValueError("adjacent word boundaries")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import phonofold
-from phonofold.cli import main
+from phonofold.cli import OPTIONS, build_parser, main
 
 SRC = Path(phonofold.__file__).resolve().parents[1]
 
@@ -617,7 +617,9 @@ class TestUserFileErrors:
     ):
         observed = tmp_path / "observed.json"
         observed.write_text(content, encoding="utf-8")
-        inventory = ["--inventory", str(fixtures / "french_inventory.csv"), *FRENCH_ARGS]
+        inventory = ["--inventory", str(fixtures / "french_inventory.csv")]
+        if command == "validate":  # match takes no --inventory-id
+            inventory += FRENCH_ARGS
         assert_clean_error(popen_cli(command, *inventory, str(observed)), str(observed), *fragments)
 
 
@@ -688,3 +690,108 @@ def test_bad_syllable_table_tone_exits_two(row, extra, tmp_path):
     lines.write_text("ma\n", encoding="utf-8")
     argv = ["convert", "--backend", "syllabary", "--table", str(table), "--uncorrected", *extra]
     assert_clean_error(popen_cli(*argv, str(lines)), f"{table}: line 2: ")
+
+
+def curve_corpus(tmp_path):
+    """A converted corpus whose one age bucket holds 30 utterances of different lengths."""
+    path = tmp_path / "converted.csv"
+    header = "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss,"
+    rows = [f"u{i},t,c,col,MOT,6,x,{' '.join('ab'[i % 2] * (1 + i % 7))}" for i in range(30)]
+    path.write_text("\n".join([header + "phonemized", *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+class TestOptions:
+    """A flag beats the config file, the file beats the default, and 0 is a value."""
+
+    def test_seed_zero_is_a_seed(self, capsys, tmp_path):
+        corpus_csv = curve_corpus(tmp_path)
+        argv = ["info", str(corpus_csv), "--sample-size", "2", "--seed", "0"]
+        first, second = (run(capsys, *argv) for _ in range(2))
+        assert first == second and first[0] == 0
+
+    @pytest.mark.parametrize("flag_seed", ["0", "5"])
+    def test_seed_flag_beats_config_file(self, capsys, tmp_path, flag_seed):
+        corpus_csv = curve_corpus(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\n", encoding="utf-8")
+        argv = ["info", str(corpus_csv), "--sample-size", "2"]
+        from_flag = run(capsys, *argv, "--seed", flag_seed, "--config", str(config))
+        assert from_flag == run(capsys, *argv, "--seed", flag_seed)
+        assert from_flag != run(capsys, *argv, "--seed", "3")
+        assert run(capsys, *argv, "--config", str(config)) == run(capsys, *argv, "--seed", "3")
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_zero_workers_exits_two(self, capsys, fixtures, tmp_path, where):
+        config = tmp_path / "run.cfg"
+        config.write_text("workers = 0\n", encoding="utf-8")
+        workers = ["--workers", "0"] if where == "flag" else ["--config", str(config)]
+        code, _, err = run(
+            capsys, "corpus", "--backend", "passthrough", "--uncorrected", *workers,
+            "--input", str(fixtures / "corpus_small.csv"), "--output", str(tmp_path / "out.csv"),
+        )
+        assert code == 2
+        assert err == "error: workers must be >= 1\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_inventory_id_zero_is_an_id(self, capsys, tmp_path):
+        inventory_csv = tmp_path / "inventories.csv"
+        inventory_csv.write_text(
+            "InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass\n"
+            "0,Zero,qaa,a,vowel\n"
+            "1,One,qab,b,consonant\n",
+            encoding="utf-8",
+        )
+        observed = tmp_path / "observed.txt"
+        observed.write_text("a\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "validate", "--inventory", str(inventory_csv), "--inventory-id", "0",
+            str(observed),
+        )
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("convert", "--inventory"),
+            ("corpus", "--inventory-id"),
+            ("match", "--inventory-id"),
+            ("stats", "--child-role"),
+            ("validate", "--child-role"),
+            ("corpus", "--seed"),
+            ("suggest", "--seed"),
+        ],
+    )
+    def test_flag_a_command_never_reads_is_rejected(self, capsys, command, flag):
+        required = ["--input", "in.csv", "--output", "out.csv"] if command == "corpus" else ["x"]
+        with pytest.raises(SystemExit) as info:
+            main([command, flag, "1", *required])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_every_config_key_fills_a_flag_left_none(self):
+        """Each key of the option table is the dest of some subcommand flag defaulting to None."""
+        subcommands = next(
+            action for action in build_parser()._actions if action.dest == "command"
+        ).choices.values()
+        flags = [action for parser in subcommands for action in parser._actions]
+        for key in OPTIONS:
+            dests = [action for action in flags if action.dest == key]
+            assert dests, key
+            assert all(action.default is None for action in dests), key
+
+
+class TestConfigFileErrors:
+    @pytest.mark.parametrize("line", ["workers = x", "inventory_id = 2x", "seed = x"])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# run options\n{line}\n", encoding="utf-8")
+        key = line.split()[0]
+        proc = popen_cli("stats", "--config", str(config), "x.txt")
+        assert_clean_error(proc, f"{config}: line 2: ", key)
+
+    def test_not_utf8_exits_two(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"child_role = \xe9\n")
+        proc = popen_cli("stats", "--config", str(config), "x.txt")
+        assert_clean_error(proc, str(config), "not UTF-8")

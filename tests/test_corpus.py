@@ -93,6 +93,13 @@ class TestReadCorpus:
     def test_quoted_gloss_with_comma(self, fixtures):
         assert read_small(fixtures)[2].gloss == "cha , cha"
 
+    def test_is_child_cell_takes_the_config_file_truth_words(self):
+        header = ",".join(DEFAULT_SCHEMA.values()) + ",is_child"
+        cells = ["on", " Yes ", "TRUE", "1", "off", "no", ""]
+        rows = "".join(f"u{i},t,c,col,MOT,18,hi,{cell}\n" for i, cell in enumerate(cells))
+        records = read_corpus(io.StringIO(header + "\n" + rows))
+        assert [r.is_child for r in records] == [True, True, True, True, False, False, False]
+
 
 class TestConvertCorpus:
     def test_rules_backend_fills_phonemized(self, fixtures):

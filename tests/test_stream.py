@@ -1,11 +1,12 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from phonofold.errors import FormatError
 from phonofold.folding import parse_fold_map
+from phonofold.g2p import PassthroughBackend, convert_utterance
 from phonofold.g2p import parse_lexicon, parse_rule_file, parse_syllable_table
 from phonofold.inventory import load_inventories
 from phonofold.stream import (
@@ -295,3 +296,32 @@ def test_parse_stream_normalizes_every_token():
     stream = parse_stream("ô WORD_BOUNDARY o")
     assert stream.tokens == (IpaSegment("ô"), W, IpaSegment("o"))
     assert str(stream[0]) == "o\u0302"
+
+
+# --- a passthrough line is coerced and repaired once --------------------
+
+
+def two_pass_passthrough(text):
+    """Parse the line into a stream, then add the UttBoundary and repair it again."""
+    tokens = list(parse_stream(text))
+    if tokens and tokens[-1] is not U:
+        tokens.append(U)
+    return repair_tokens(tokens)
+
+
+passthrough_lines = st.builds(
+    lambda tokens, separator: separator.join(map(str, tokens)),
+    raw_token_lists(),
+    st.sampled_from([" ", "  ", " \t "]),
+)
+
+
+@given(passthrough_lines)
+@example("")
+@example("a UTT_BOUNDARY")
+@example("UTT_BOUNDARY")
+@example("WORD_BOUNDARY")
+@example("a UTT_BOUNDARY WORD_BOUNDARY")
+def test_passthrough_line_equals_the_two_pass_path(text):
+    stream, unmapped = convert_utterance(PassthroughBackend(), text)
+    assert stream == two_pass_passthrough(text) and unmapped == set()
