@@ -230,6 +230,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.top < 1:
+        raise ConfigError("top must be >= 1")
     inventories = _load_inventories(args)
     observed = _read_observed(args.observed)
     ranking = inventory.best_match(observed, inventories)
@@ -286,6 +288,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_info(args) -> int:
+    if args.sample_size is not None and args.sample_size < 1:
+        raise ConfigError("sample-size must be >= 1")
     with _user_file():
         records = corpus.read_corpus(args.input, args.schema, args.child_role)
         records = [r for r in records if not r.is_child]

@@ -137,9 +137,8 @@ def _load(handle, name: str) -> list[Inventory]:
     feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
     feature_positions = [header.index(col) for col in feature_names]
     key_of = operator.itemgetter(phoneme_pos, class_pos, *feature_positions)
-    # One IpaSegment per phoneme text, one features mapping per cell tuple and
-    # one InventorySegment per (phoneme, class, cells), shared across inventories.
-    segments: dict[str, IpaSegment] = {}
+    # One features mapping per cell tuple and one InventorySegment per
+    # (phoneme, class, cells), shared across inventories; segments come interned.
     decoded: dict[tuple, Mapping[str, TernaryValue]] = {}
     shared: dict[tuple, InventorySegment] = {}
 
@@ -162,13 +161,12 @@ def _load(handle, name: str) -> list[Inventory]:
             if seg_class not in SEGMENT_CLASSES:
                 message = f"unknown SegmentClass {seg_class!r}"
                 raise FormatError(message, source=name, line=line_num)
-            if seg_text not in segments:
-                (segments[seg_text],) = as_segments([seg_text], name, line_num)
+            (segment,) = as_segments([seg_text], name, line_num)
             if cells not in decoded:
                 decoded[cells] = MappingProxyType(
                     dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
                 )
-            inv_seg = shared[key] = InventorySegment(segments[seg_text], seg_class, decoded[cells])
+            inv_seg = shared[key] = InventorySegment(segment, seg_class, decoded[cells])
         if inv_id not in grouped:
             grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
         inv_segments = grouped[inv_id][2]

@@ -6,6 +6,15 @@ The text form is a single line of space-separated tokens, with the literals
 WORD_BOUNDARY and UTT_BOUNDARY marking boundaries. Inside the package every
 stream comes from ``repair_tokens``, which makes the boundary invariants hold
 as it builds; ``PhonemeStream(tokens)`` is the checked public door.
+
+Token text becomes a token through ``coerce_token`` and one module-level
+intern table, text -> finished token, seeded with the two boundary literals.
+Token alphabets are small (PHOIBLE has about 3,000 distinct segments), so each
+distinct text is NFD-normalised and checked by ``IpaSegment`` once per process
+and every later occurrence shares that token, equal to what a fresh check
+would build. A text that fails the checks is never stored, and the table
+takes no new entries past ``_INTERN_LIMIT``, so memory stays bounded on
+hostile input. ``as_segments`` reads the same table.
 """
 
 from __future__ import annotations
@@ -54,14 +63,6 @@ class IpaSegment(str):
         return f"IpaSegment({str.__repr__(self)})"
 
 
-def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[IpaSegment, ...]:
-    """The tokens as segments; a token that is not one is a FormatError at source, line."""
-    try:
-        return tuple(map(IpaSegment, tokens))
-    except ValueError as exc:
-        raise FormatError(str(exc), source=source, line=line) from None
-
-
 def open_text(source, mode: str = "r"):
     """A context manager over a text handle: an open handle as is, a path opened now as UTF-8.
 
@@ -102,15 +103,35 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 StreamToken = Union[IpaSegment, Boundary]
 
+_INTERN_LIMIT = 16384
+_INTERNED: dict[str, StreamToken] = {WORD_BOUNDARY: Boundary.WORD, UTT_BOUNDARY: Boundary.UTT}
+
 
 def coerce_token(token) -> StreamToken:
+    """The token for a token or its text, checked on the first sight of each text."""
     if isinstance(token, (IpaSegment, Boundary)):
         return token
-    if token == WORD_BOUNDARY:
-        return Boundary.WORD
-    if token == UTT_BOUNDARY:
-        return Boundary.UTT
-    return IpaSegment(token)
+    interned = _INTERNED.get(token)
+    if interned is None:
+        interned = IpaSegment(token)
+        if len(_INTERNED) < _INTERN_LIMIT:
+            _INTERNED[token] = interned
+    return interned
+
+
+def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[IpaSegment, ...]:
+    """The tokens as segments; a token that is not one is a FormatError at source, line."""
+    segments = []
+    for text in tokens:
+        try:
+            token = coerce_token(text)
+        except ValueError as exc:
+            raise FormatError(str(exc), source=source, line=line) from None
+        if isinstance(token, Boundary):
+            message = f"{token.value!r} is a reserved boundary literal"
+            raise FormatError(message, source=source, line=line)
+        segments.append(token)
+    return tuple(segments)
 
 
 def repair_tokens(tokens: Iterable) -> PhonemeStream:
@@ -121,12 +142,13 @@ def repair_tokens(tokens: Iterable) -> PhonemeStream:
     subsumes it, and so is a WordBoundary with nothing before it. The
     adjacency invariants so hold by construction and are not checked again.
     """
+    word, utt = Boundary.WORD, Boundary.UTT  # locals: an Enum member lookup is slow per token
     out: list[StreamToken] = []
     for token in map(coerce_token, tokens):
-        if token is Boundary.WORD:
+        if token is word:
             if not out or isinstance(out[-1], Boundary):
                 continue  # leading, or redundant next to another boundary
-        elif token is Boundary.UTT and out and out[-1] is Boundary.WORD:
+        elif token is utt and out and out[-1] is word:
             out.pop()
         out.append(token)
     stream = object.__new__(PhonemeStream)
@@ -190,12 +212,13 @@ def emit_stream(stream: PhonemeStream, keep_word_boundaries: bool = True) -> str
     always emitted except for a trailing one, which the one-utterance-per-line
     text form makes redundant.
     """
+    word = Boundary.WORD
     tokens = list(stream)
     if not keep_word_boundaries:
-        tokens = [t for t in tokens if t is not Boundary.WORD]
+        tokens = [t for t in tokens if t is not word]
     if tokens and tokens[-1] is Boundary.UTT:
         tokens.pop()
-    return " ".join(str(t) for t in tokens)
+    return " ".join([t if isinstance(t, IpaSegment) else t.value for t in tokens])
 
 
 def segment_types(stream: PhonemeStream) -> set[IpaSegment]:

@@ -609,6 +609,7 @@ class TestUserFileErrors:
             ('{"observed_segments": ["a", 5]}', ["list of strings"]),
             ('{"segments": ["a"]}', ["observed_segments"]),
             ("7", ["list of strings"]),
+            ('{"observed_segments": ["a", "UTT_BOUNDARY"]}', ["reserved boundary literal"]),
         ],
     )
     @pytest.mark.parametrize("command", ["match", "validate"])
@@ -733,6 +734,19 @@ class TestOptions:
         assert code == 2
         assert err == "error: workers must be >= 1\n"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_sample_size_below_one_exits_two(self, tmp_path, size):
+        proc = popen_cli("info", str(curve_corpus(tmp_path)), "--sample-size", size)
+        assert_clean_error(proc, "sample-size must be >= 1")
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exits_two(self, fixtures, tmp_path, top):
+        observed = tmp_path / "observed.txt"
+        observed.write_text("a\n", encoding="utf-8")
+        inventory_csv = str(fixtures / "toy_inventories.csv")
+        proc = popen_cli("match", "--inventory", inventory_csv, str(observed), "--top", top)
+        assert_clean_error(proc, "top must be >= 1")
 
     def test_inventory_id_zero_is_an_id(self, capsys, tmp_path):
         inventory_csv = tmp_path / "inventories.csv"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from phonofold import stream as stream_module
 from phonofold.errors import FormatError
 from phonofold.folding import parse_fold_map
 from phonofold.g2p import PassthroughBackend, convert_utterance
@@ -15,6 +16,8 @@ from phonofold.stream import (
     Boundary,
     IpaSegment,
     PhonemeStream,
+    as_segments,
+    coerce_token,
     emit_stream,
     open_text,
     parse_stream,
@@ -239,13 +242,14 @@ def test_parse_is_total_and_reparse_stable(text):
 # --- the one-pass builder against a two-pass oracle ---------------------
 
 
+def uncached(text):
+    """The token for a text, built afresh: a boundary literal, else a checked segment."""
+    return {WORD_BOUNDARY: W, UTT_BOUNDARY: U}.get(text) or IpaSegment(text)
+
+
 def repair_oracle(tokens):
     """Coerce every token, then drop redundant word boundaries: two passes, not one."""
-    literals = {WORD_BOUNDARY: W, UTT_BOUNDARY: U}
-    coerced = [
-        t if isinstance(t, (IpaSegment, Boundary)) else literals.get(t) or IpaSegment(t)
-        for t in tokens
-    ]
+    coerced = [t if isinstance(t, (IpaSegment, Boundary)) else uncached(t) for t in tokens]
     out = []
     for token in coerced:
         if token is W:
@@ -325,3 +329,78 @@ passthrough_lines = st.builds(
 def test_passthrough_line_equals_the_two_pass_path(text):
     stream, unmapped = convert_utterance(PassthroughBackend(), text)
     assert stream == two_pass_passthrough(text) and unmapped == set()
+
+
+# --- the intern table ----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The intern table as at import, restored after the test."""
+    table = {WORD_BOUNDARY: W, UTT_BOUNDARY: U}
+    monkeypatch.setattr(stream_module, "_INTERNED", table)
+    return table
+
+
+# The same letters composed (NFC) and decomposed (NFD), bare combining marks,
+# the boundary literals, and texts that are no token at all.
+token_texts = st.one_of(
+    st.text(alphabet="o\u00f4o\u0302e\u00e9e\u0301\u0302\u0301\u0303\u02b0", max_size=3),
+    st.sampled_from([WORD_BOUNDARY, UTT_BOUNDARY, "", " ", "\t", "a b", "\u0302"]),
+)
+
+
+def same_tokens(got, expected):
+    return len(got) == len(expected) and all(
+        type(g) is type(e) and g == e for g, e in zip(got, expected)
+    )
+
+
+@given(st.lists(token_texts, max_size=8))
+def test_interned_tokens_equal_uncached_coercion(texts):
+    for text in texts * 2:  # the second sight of each text comes from the table
+        try:
+            expected = uncached(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                coerce_token(text)
+            continue
+        assert same_tokens([coerce_token(text)], [expected])
+    line = " ".join(texts)
+    assert same_tokens(parse_stream(line).tokens, repair_oracle(line.split()))
+    try:
+        expected = repair_oracle(texts)
+    except ValueError:
+        with pytest.raises(ValueError):
+            repair_tokens(texts)
+    else:
+        assert same_tokens(repair_tokens(texts).tokens, expected)
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t", "a b", "a\u00a0b"])
+def test_invalid_text_raises_every_time_and_is_never_stored(text):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            coerce_token(text)
+        with pytest.raises(FormatError, match="^x.src: line 3: "):
+            as_segments(["a", text], "x.src", 3)
+    assert text not in stream_module._INTERNED
+
+
+def test_repeated_text_is_one_object(fresh_table):
+    first, second = parse_stream("a a")
+    assert first is second
+    assert coerce_token("a") is first and fresh_table["a"] is first
+
+
+def test_table_stops_growing_at_its_limit(fresh_table):
+    limit = stream_module._INTERN_LIMIT
+    texts = [f"s{i}" for i in range(limit + 100)]
+    assert [coerce_token(text) for text in texts] == texts
+    assert len(fresh_table) == limit
+    assert "s0" in fresh_table and texts[-1] not in fresh_table
+    later = coerce_token("\u00f4")
+    assert type(later) is IpaSegment and later == "o\u0302"
+    assert "\u00f4" not in fresh_table and len(fresh_table) == limit
+    with pytest.raises(ValueError):
+        coerce_token("a b")
