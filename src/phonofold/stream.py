@@ -13,8 +13,9 @@ Token alphabets are small (PHOIBLE has about 3,000 distinct segments), so each
 distinct text is NFD-normalised and checked by ``IpaSegment`` once per process
 and every later occurrence shares that token, equal to what a fresh check
 would build. A text that fails the checks is never stored, and the table
-takes no new entries past ``_INTERN_LIMIT``, so memory stays bounded on
-hostile input. ``as_segments`` reads the same table.
+takes no new entries past ``_INTERN_LIMIT``: the number of entries is capped,
+not their length, so each entry costs its text and its NFD form for the rest
+of the process. ``as_segments`` reads the same table.
 """
 
 from __future__ import annotations
@@ -125,11 +126,10 @@ def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[I
     for text in tokens:
         try:
             token = coerce_token(text)
+            if isinstance(token, Boundary):
+                IpaSegment(text)  # raises the reserved-literal error
         except ValueError as exc:
             raise FormatError(str(exc), source=source, line=line) from None
-        if isinstance(token, Boundary):
-            message = f"{token.value!r} is a reserved boundary literal"
-            raise FormatError(message, source=source, line=line)
         segments.append(token)
     return tuple(segments)
 
