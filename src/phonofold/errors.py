@@ -25,37 +25,35 @@ class FormatError(PhonofoldError, ValueError):
         super().__init__(where + message)
 
 
-class UnknownSegmentError(PhonofoldError, KeyError):
+class _MissingKeyError(PhonofoldError, KeyError):
+    """A failed lookup; its message reads as written, where KeyError would quote it."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class UnknownSegmentError(_MissingKeyError):
     """Segment not present in an inventory or table."""
 
     def __init__(self, segment: str, context: str = "inventory"):
         self.segment = segment
         super().__init__(f"segment {segment!r} not found in {context}")
 
-    def __str__(self) -> str:  # KeyError quotes its args; keep the message readable
-        return self.args[0]
 
-
-class UnknownFeatureError(PhonofoldError, KeyError):
+class UnknownFeatureError(_MissingKeyError):
     """Feature name not part of an inventory's schema."""
 
     def __init__(self, feature: str):
         self.feature = feature
         super().__init__(f"feature {feature!r} not in inventory schema")
 
-    def __str__(self) -> str:
-        return self.args[0]
 
-
-class OutOfVocabularyError(PhonofoldError, KeyError):
+class OutOfVocabularyError(_MissingKeyError):
     """Lexicon lookup miss with no fallback rule set."""
 
     def __init__(self, word: str):
         self.word = word
         super().__init__(f"word {word!r} not in lexicon and no fallback rules given")
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 class SegmentationError(PhonofoldError, ValueError):
@@ -71,15 +69,12 @@ class ToneAttachmentError(PhonofoldError, ValueError):
     """A tone mark was supplied but the syllable has no nucleus to carry it."""
 
 
-class UnseenSymbolError(PhonofoldError, KeyError):
+class UnseenSymbolError(_MissingKeyError):
     """A segment has no probability under an unsmoothed unigram model."""
 
     def __init__(self, segment: str):
         self.segment = segment
         super().__init__(f"segment {segment!r} unseen by model (smoothing disabled)")
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 class ConversionError(PhonofoldError):

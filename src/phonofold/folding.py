@@ -99,15 +99,15 @@ def load_fold_map(path) -> FoldMap:
 def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
     """Apply every rule in map order, each in one non-overlapping pass.
 
-    Boundary tokens never equal segments, so no match spans a boundary.
+    Boundary tokens never equal segments, so no match spans a boundary. A
+    stream that no rule changes is returned as it is.
     """
-    tokens = tuple(stream)
-    present = set(tokens)
+    tokens, present = stream, set(stream)
     for rule in fold_map.rules:
         if rule.lhs[0] in present:  # otherwise the rule cannot match
             tokens = rule.apply(tokens)
             present = set(tokens)
-    return repair_tokens(tokens)
+    return stream if tokens == stream else repair_tokens(tokens)
 
 
 def check_fold_map(fold_map: FoldMap) -> list[str]:

@@ -330,7 +330,6 @@ def convert_utterance(
     if hasattr(backend, "convert_line"):
         tokens, unmapped = backend.convert_line(text)
     else:
-        first = True
         for index, word in enumerate(text.split()):
             if is_punctuation_word(word):
                 continue
@@ -339,12 +338,9 @@ def convert_utterance(
             except PhonofoldError as exc:
                 raise ConversionError(word, index, exc) from exc
             unmapped |= word_unmapped
-            if not segments:
-                continue
-            if keep_word_boundaries and not first:
-                tokens.append(Boundary.WORD)
+            if keep_word_boundaries:
+                tokens.append(Boundary.WORD)  # repair_tokens drops leading and repeated ones
             tokens.extend(segments)
-            first = False
 
     # One UttBoundary ends the stream, unless it holds only word boundaries.
     last = next((t for t in reversed(tokens) if t is not Boundary.WORD), None)

@@ -1,11 +1,13 @@
 """Canonical phoneme-stream representation.
 
-A stream is an ordered sequence of tokens: IPA segments (one phoneme each,
-possibly several characters) and reserved word/utterance boundary markers.
-The text form is a single line of space-separated tokens, with the literals
-WORD_BOUNDARY and UTT_BOUNDARY marking boundaries. Inside the package every
-stream comes from ``repair_tokens``, which makes the boundary invariants hold
-as it builds; ``PhonemeStream(tokens)`` is the checked public door.
+A stream is a checked tuple of tokens: IPA segments (one phoneme each,
+possibly several characters) and reserved word/utterance boundary markers,
+with no two word boundaries adjacent and no word boundary next to an
+utterance boundary. The text form is a single line of space-separated
+tokens, with the literals WORD_BOUNDARY and UTT_BOUNDARY marking boundaries.
+``repair_tokens`` is the package's builder: it makes the boundary invariants
+hold as it builds, so a stream is checked once, where it enters the system.
+``PhonemeStream(tokens)`` is the public door, which rejects rather than repairs.
 
 Token text becomes a token through ``coerce_token`` and one module-level
 intern table, text -> finished token, seeded with the two boundary literals.
@@ -56,6 +58,8 @@ class IpaSegment(str):
             raise ValueError("segment text must be non-empty")
         if any(ch.isspace() for ch in normalized):
             raise ValueError(f"segment {text!r} contains whitespace")
+        if any("\ud800" <= ch <= "\udfff" for ch in normalized):
+            raise ValueError(f"segment {text!r} contains a surrogate code point")
         if normalized in (WORD_BOUNDARY, UTT_BOUNDARY):
             raise ValueError(f"{text!r} is a reserved boundary literal")
         return super().__new__(cls, normalized)
@@ -151,48 +155,35 @@ def repair_tokens(tokens: Iterable) -> PhonemeStream:
         elif token is utt and out and out[-1] is word:
             out.pop()
         out.append(token)
-    stream = object.__new__(PhonemeStream)
-    stream._tokens = tuple(out)
-    return stream
+    return tuple.__new__(PhonemeStream, out)
 
 
-class PhonemeStream:
-    """Immutable token sequence satisfying the boundary-adjacency invariants."""
+class PhonemeStream(tuple):
+    """A checked tuple of stream tokens.
 
-    __slots__ = ("_tokens",)
+    ``PhonemeStream(tokens)`` coerces each token, then rejects adjacent word
+    boundaries and a word boundary next to an utterance boundary. Inside the
+    package ``repair_tokens`` builds every stream, repairing instead of
+    rejecting. A stream equals and hashes as the plain tuple of its tokens.
+    """
 
-    def __init__(self, tokens: Iterable = ()):
-        toks = tuple(coerce_token(t) for t in tokens)
+    __slots__ = ()
+
+    def __new__(cls, tokens: Iterable = ()) -> "PhonemeStream":
+        toks = tuple(map(coerce_token, tokens))
         for prev, cur in zip(toks, toks[1:]):
             if prev is Boundary.WORD and cur is Boundary.WORD:
                 raise ValueError("adjacent word boundaries")
             if Boundary.WORD in (prev, cur) and Boundary.UTT in (prev, cur):
                 raise ValueError("word boundary adjacent to utterance boundary")
-        self._tokens = toks
+        return super().__new__(cls, toks)
 
     @property
     def tokens(self) -> tuple[StreamToken, ...]:
-        return self._tokens
-
-    def __iter__(self) -> Iterator[StreamToken]:
-        return iter(self._tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __getitem__(self, index):
-        return self._tokens[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhonemeStream):
-            return NotImplemented
-        return self._tokens == other._tokens
-
-    def __hash__(self) -> int:
-        return hash(self._tokens)
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"PhonemeStream({list(self._tokens)!r})"
+        return f"PhonemeStream({list(self)!r})"
 
 
 def parse_stream(text: str) -> PhonemeStream:

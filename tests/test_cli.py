@@ -623,6 +623,14 @@ class TestUserFileErrors:
             inventory += FRENCH_ARGS
         assert_clean_error(popen_cli(command, *inventory, str(observed)), str(observed), *fragments)
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_lone_surrogate_in_observed_json_exits_two(self, flags, fixtures, tmp_path):
+        observed = tmp_path / "observed.json"
+        observed.write_text('["\\ud800", "a"]', encoding="utf-8")
+        inventory = ["--inventory", str(fixtures / "toy_inventories.csv"), "--inventory-id", "9001"]
+        proc = popen_cli("validate", *flags, *inventory, str(observed))
+        assert_clean_error(proc, str(observed), "surrogate")
+
 
 class TestUndecodableFiles:
     """A user file holding a byte that is not UTF-8 is one error line naming it."""

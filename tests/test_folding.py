@@ -132,6 +132,11 @@ class TestApply:
             after = apply_fold(fold(map_text), before)
             assert len(after) - len(before) == delta * matches, map_text
 
+    @pytest.mark.parametrize("map_text", ["", "x -> y", "a c -> y\nz ->"])
+    def test_stream_untouched_by_every_rule_is_returned_as_is(self, map_text):
+        stream = parse_stream("a WORD_BOUNDARY b")
+        assert apply_fold(fold(map_text), stream) is stream
+
 
 class TestCheck:
     def test_feeding_rules_flagged(self):

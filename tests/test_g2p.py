@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from phonofold.chars import is_punctuation_word
 from phonofold.errors import (
     ConversionError,
     FormatError,
@@ -31,7 +34,7 @@ from phonofold.g2p import (
     syllabify,
     syllable_to_ipa,
 )
-from phonofold.stream import IpaSegment, emit_stream
+from phonofold.stream import Boundary, IpaSegment, coerce_token, emit_stream, repair_tokens
 
 
 def rules_from_map(*entries):
@@ -295,6 +298,50 @@ class TestConvertUtterance:
         backend = SyllabaryBackend(pinyin)
         stream, _ = convert_utterance(backend, "ni3hao3")
         assert emit_stream(stream) == "n i˨˩˦ h a˨˩˦ ʊ"
+
+
+class StubWordBackend:
+    """Each word is its segments joined by "+"; "~" converts to no segments."""
+
+    def convert_word(self, word):
+        texts = [] if word == "~" else word.split("+")
+        return [coerce_token(text) for text in texts], {word[0]}
+
+
+def first_flag_oracle(backend, text, keep_word_boundaries):
+    """The word loop that put a boundary only between two non-empty words."""
+    unmapped, tokens, first = set(), [], True
+    for word in text.split():
+        if is_punctuation_word(word):
+            continue
+        segments, word_unmapped = backend.convert_word(word)
+        unmapped |= word_unmapped
+        if not segments:
+            continue
+        if keep_word_boundaries and not first:
+            tokens.append(Boundary.WORD)
+        tokens.extend(segments)
+        first = False
+    last = next((t for t in reversed(tokens) if t is not Boundary.WORD), None)
+    if last is not None and last is not Boundary.UTT:
+        tokens.append(Boundary.UTT)
+    return repair_tokens(tokens), unmapped
+
+
+STUB_WORDS = st.sampled_from(
+    ["a", "b+c", "~", ".", "?!", ",", "a+WORD_BOUNDARY", "UTT_BOUNDARY+b", "WORD_BOUNDARY"]
+)
+
+
+@given(st.lists(STUB_WORDS, max_size=8), st.booleans())
+@example(["~", "a", "~"], True)
+@example(["~", ".", "b+c", "~", "~", "a", "?!", "~"], True)
+@example(["~", "~"], True)
+def test_convert_utterance_equals_first_flag_oracle(words, keep_word_boundaries):
+    text = " ".join(words)
+    backend = StubWordBackend()
+    got = convert_utterance(backend, text, keep_word_boundaries=keep_word_boundaries)
+    assert got == first_flag_oracle(backend, text, keep_word_boundaries)
 
 
 class TestGreedyOracle:

@@ -1,9 +1,8 @@
 """Byte-identity of end-to-end outputs against committed golden files.
 
-The golden files under ``fixtures/golden/`` were written by the CLI before the
-stream and conversion internals were last reshaped; a change that keeps the
-behaviour keeps these bytes. A summary JSON is compared with its ``seconds``
-key removed, re-serialised in its own key order.
+The golden files under ``fixtures/golden/`` hold what the CLI writes for each
+case below; a change that keeps the behaviour keeps these bytes. A summary JSON
+is compared with its ``seconds`` key removed, re-serialised in its own key order.
 """
 
 import json

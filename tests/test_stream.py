@@ -55,6 +55,13 @@ class TestIpaSegment:
         with pytest.raises(ValueError):
             seg("")
 
+    @pytest.mark.parametrize("text", ["\ud800", "a\udfff", "\udc80b"])
+    def test_rejects_surrogate_code_points(self, text):
+        with pytest.raises(ValueError, match="surrogate"):
+            seg(text)
+        with pytest.raises(FormatError, match="^x.json: .*surrogate"):
+            as_segments(["a", text], "x.json", None)
+
     def test_normalization_is_idempotent(self):
         once = seg("ô")
         assert seg(str(once)) == once
@@ -404,3 +411,9 @@ def test_table_stops_growing_at_its_limit(fresh_table):
     assert "\u00f4" not in fresh_table and len(fresh_table) == limit
     with pytest.raises(ValueError):
         coerce_token("a b")
+
+
+def test_parsed_stream_is_a_checked_tuple():
+    stream = parse_stream("a b")
+    assert isinstance(stream, PhonemeStream) and isinstance(stream, tuple)
+    assert stream == (seg("a"), seg("b")) and hash(stream) == hash((seg("a"), seg("b")))
