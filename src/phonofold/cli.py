@@ -217,6 +217,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    with _user_file():
+        allow = set(as_segments(args.allow, "allow", None))
     inv = _load_inventory(args)
     observed = _read_observed(args.observed)
     report = folding.diff_inventory(observed, inv)
@@ -225,7 +227,6 @@ def cmd_validate(args) -> int:
         print(json.dumps(folding.diff_to_json(report, suggestions), ensure_ascii=False, indent=2))
     else:
         print(folding.diff_to_text(report, suggestions))
-    allow = {IpaSegment(s) for s in args.allow}
     return 0 if not (report.unknown - allow) and not (report.unseen - allow) else 1
 
 

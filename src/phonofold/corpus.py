@@ -10,6 +10,7 @@ and accumulates an observed-segment summary for downstream inventory diffing.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -91,7 +92,8 @@ def read_corpus(
 
     Unmapped columns land in ``extra`` in header order; previously written
     phonemized/is_child/errors columns are recognized and re-read. Rows that
-    cannot be read are skipped and appended to ``row_errors`` as
+    cannot be read (a cell count unlike the header's, a cell longer than
+    ``csv.field_size_limit``) are skipped and appended to ``row_errors`` as
     (line_number, message) when a list is supplied.
     """
     with open_text(source) as handle:
@@ -111,12 +113,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
         raise FormatError("missing column(s) " + ", ".join(repr(c) for c in missing), source=name)
     mapped = set(schema.values()) | set(OUTPUT_COLUMNS)
 
-    for row in reader:
-        if None in row or any(value is None for value in row.values()):
-            if row_errors is not None:
-                row_errors.append((reader.line_num, "row does not match header"))
-            continue
-
+    for row in _rows(reader, row_errors):
         def cell(key: str) -> str:
             col = schema.get(key)
             return row[col] if col is not None else ""
@@ -142,6 +139,24 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
             extra={k: v for k, v in row.items() if k not in mapped},
         )
         yield record
+
+
+def _rows(reader: csv.DictReader, row_errors) -> Iterator[dict]:
+    """The reader's rows that match its header; any other row is skipped and recorded."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit, say
+            problem = str(exc)
+        else:
+            if None not in row and not any(value is None for value in row.values()):
+                yield row
+                continue
+            problem = "row does not match header"
+        if row_errors is not None:  # the csv reader's count: DictReader's lags on an error
+            row_errors.append((reader.reader.line_num, problem))
 
 
 @dataclass
@@ -201,7 +216,8 @@ def convert_corpus(
 
     Failed utterances keep their row with the error recorded. The summary
     collects the post-fold observed segment set and unmapped characters,
-    independent of worker count.
+    independent of worker count. The pool starts at most one process per
+    CPU this process may run on, and per record.
     """
     if fold_map is None and not uncorrected:
         raise ValueError("fold_map is required unless uncorrected is set")
@@ -214,7 +230,9 @@ def convert_corpus(
     )
     summary = RunSummary()
     out: list[UtteranceRecord] = []
-    if workers > 1 and len(records) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1, len(records))
+    if workers > 1:
         chunksize = max(1, len(records) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, records, chunksize=chunksize))

@@ -100,14 +100,12 @@ def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
     """Apply every rule in map order, each in one non-overlapping pass.
 
     Boundary tokens never equal segments, so no match spans a boundary. A
-    stream that no rule changes is returned as it is.
+    stream that no rule matches is returned as it is.
     """
-    tokens, present = stream, set(stream)
+    tokens = stream
     for rule in fold_map.rules:
-        if rule.lhs[0] in present:  # otherwise the rule cannot match
-            tokens = rule.apply(tokens)
-            present = set(tokens)
-    return stream if tokens == stream else repair_tokens(tokens)
+        tokens = rule.apply(tokens)
+    return stream if tokens is stream else repair_tokens(tokens)
 
 
 def check_fold_map(fold_map: FoldMap) -> list[str]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import eq
 from typing import Iterable, Sequence
 
 from .chars import count_vowel_glyphs, is_punctuation_word, is_syllabic_marked
@@ -46,9 +48,10 @@ class RewriteRule:
 
     Symbols are single characters for pre-processor rules and whole phoneme
     tokens for post-processor and fold rules. Contexts are literal sequences;
-    a ``#`` anchor pins the match to the word edge. Application is one
+    a ``#`` anchor pins the match to the word edge. ``apply`` makes one
     left-to-right pass with non-overlapping matches, contexts checked against
-    the input.
+    the input. It takes a tuple and returns a tuple: the input itself where
+    the rule matches nowhere.
     """
 
     target: tuple[str, ...]
@@ -61,32 +64,27 @@ class RewriteRule:
     def __post_init__(self):
         if not self.target:
             raise ValueError("rewrite target must be non-empty")
+        object.__setattr__(self, "_window", self.left + self.target + self.right)
 
-    def _context_ok(self, seq: Sequence[str], start: int, end: int) -> bool:
-        if self.left:
-            if start < len(self.left) or tuple(seq[start - len(self.left) : start]) != self.left:
-                return False
-        if self.left_anchor and start - len(self.left) != 0:
-            return False
-        if self.right:
-            if tuple(seq[end : end + len(self.right)]) != self.right:
-                return False
-        if self.right_anchor and end + len(self.right) != len(seq):
-            return False
-        return True
-
-    def apply(self, seq: Sequence[str]) -> tuple[str, ...]:
-        target, width = self.target, len(self.target)
-        out: list[str] = []
-        i, n = 0, len(seq)
-        while i < n:
-            if tuple(seq[i : i + width]) == target and self._context_ok(seq, i, i + width):
-                out.extend(self.replacement)
-                i += width
-            else:
-                out.append(seq[i])
-                i += 1
-        return tuple(out)
+    def apply(self, seq: tuple) -> tuple:
+        first, window, n = self.target[0], self._window, len(seq)
+        if first not in seq:
+            return seq
+        out: list = []
+        done = 0  # seq[:done] is in out or was consumed by a match
+        for i in compress(range(n), map(eq, seq, repeat(first))):  # where a match can start
+            start = i - len(self.left)
+            end = start + len(window)
+            if i < done or start < 0 or seq[start:end] != window:
+                continue
+            if (self.left_anchor and start) or (self.right_anchor and end != n):
+                continue
+            out += seq[done:i]
+            out += self.replacement
+            done = i + len(self.target)
+        if not done:
+            return seq
+        return tuple(out) + seq[done:]
 
 
 class GraphemeMap:

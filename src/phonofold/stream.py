@@ -23,6 +23,7 @@ of the process. ``as_segments`` reads the same table.
 from __future__ import annotations
 
 import contextlib
+import csv
 import unicodedata
 from enum import Enum
 from typing import Iterable, Iterator, Union
@@ -71,7 +72,9 @@ class IpaSegment(str):
 def open_text(source, mode: str = "r"):
     """A context manager over a text handle: an open handle as is, a path opened now as UTF-8.
 
-    Reading text that is not UTF-8 in the block is a FormatError naming the file.
+    Reading text that is not UTF-8 in the block, or a CSV row that the csv module
+    cannot read (a cell longer than ``csv.field_size_limit``), is a FormatError
+    naming the file.
     """
     if hasattr(source, "read") or hasattr(source, "write"):
         return _text_handle(source, mode, close=False)
@@ -82,11 +85,13 @@ def open_text(source, mode: str = "r"):
 def _text_handle(handle, mode: str, close: bool):
     try:
         yield handle
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         if "r" not in mode:
             raise
-        name, byte = getattr(handle, "name", "<file>"), exc.object[exc.start]
-        raise FormatError(f"not UTF-8 text (byte 0x{byte:02x})", source=name) from None
+        message = str(exc)
+        if isinstance(exc, UnicodeDecodeError):
+            message = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        raise FormatError(message, source=getattr(handle, "name", "<file>")) from None
     finally:
         if close:
             handle.close()

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -817,3 +818,71 @@ class TestConfigFileErrors:
         config.write_bytes(b"child_role = \xe9\n")
         proc = popen_cli("stats", "--config", str(config), "x.txt")
         assert_clean_error(proc, str(config), "not UTF-8")
+
+
+class TestAllowWords:
+    """An allow word that is not a segment is one error line, from the flag or the file."""
+
+    @pytest.mark.parametrize(
+        "word, fragment",
+        [
+            ("WORD_BOUNDARY", "reserved boundary literal"),
+            (os.fsdecode(b"\xed\xa0\x80"), "surrogate"),  # an argv byte that is not UTF-8
+        ],
+        ids=["boundary-literal", "not-utf8"],
+    )
+    def test_flag_exits_two(self, word, fragment, fixtures):
+        inventory = ["--inventory", str(fixtures / "french_inventory.csv"), *FRENCH_ARGS]
+        observed = str(fixtures / "french_backend_output.txt")
+        proc = popen_cli("validate", *inventory, "--allow", word, observed)
+        assert_clean_error(proc, "allow", fragment)
+
+    @pytest.mark.parametrize("command", ["validate", "suggest"])
+    def test_config_key_exits_two(self, command, fixtures, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("allow = a UTT_BOUNDARY\n", encoding="utf-8")
+        inventory = ["--inventory", str(fixtures / "french_inventory.csv"), *FRENCH_ARGS]
+        observed = str(fixtures / "french_backend_output.txt")
+        proc = popen_cli(command, "--config", str(config), *inventory, observed)
+        assert_clean_error(proc, "allow", "reserved boundary literal")
+
+
+def with_oversized_cell(source: Path, target: Path, cell: int) -> Path:
+    """A copy of a CSV whose first data row has one cell longer than csv.field_size_limit."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[cell] += "a" * csv.field_size_limit()
+    lines[1] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
+class TestOversizedCsvCell:
+    """A CSV cell past csv.field_size_limit skips its row in a corpus, else is one error line."""
+
+    def test_corpus_input_row_skipped(self, fixtures, tmp_path):
+        source = with_oversized_cell(fixtures / "corpus_small.csv", tmp_path / "in.csv", 6)
+        out = tmp_path / "out.csv"
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected"]
+        proc = popen_cli(*argv, "--input", str(source), "--output", str(out))
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and "Traceback" not in err, err
+        summary = json.loads(Path(f"{out}.summary.json").read_text(encoding="utf-8"))
+        assert (summary["rows"], summary["skipped_rows"]) == (2, 1)
+
+    def test_info_input_row_skipped(self, tmp_path):
+        source = with_oversized_cell(curve_corpus(tmp_path), tmp_path / "in.csv", 7)
+        proc = popen_cli("info", str(source))
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and "Traceback" not in err, err
+        assert out.splitlines()[1].endswith(",29")
+
+    def test_stats_input_exits_two(self, tmp_path):
+        source = with_oversized_cell(curve_corpus(tmp_path), tmp_path / "in.csv", 7)
+        assert_clean_error(popen_cli("stats", str(source)), str(source), "field limit")
+
+    def test_match_inventory_exits_two(self, fixtures, tmp_path):
+        source = with_oversized_cell(fixtures / "french_inventory.csv", tmp_path / "inv.csv", 3)
+        observed = str(fixtures / "french_backend_output.txt")
+        proc = popen_cli("match", "--inventory", str(source), observed)
+        assert_clean_error(proc, str(source), "field limit")

@@ -1,7 +1,10 @@
 import csv
 import io
+import os
 
 import pytest
+
+from phonofold import corpus
 
 from phonofold.corpus import (
     DEFAULT_SCHEMA,
@@ -161,6 +164,32 @@ class TestConvertCorpus:
         par, par_summary = convert_corpus(records, CHA_BACKEND, uncorrected=True, workers=4)
         assert [r.phonemized for r in seq] == [r.phonemized for r in par]
         assert seq_summary.observed == par_summary.observed
+
+    @pytest.mark.parametrize("cpus, rows, started", [(4, 3, [3]), (2, 20, [2]), (1, 20, [])])
+    def test_pool_size_capped_by_cpus_and_rows(self, monkeypatch, cpus, rows, started):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size asked for and maps in this process: no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        records = [UtteranceRecord(gloss="cha")] * rows
+        out, _ = convert_corpus(records, CHA_BACKEND, uncorrected=True, workers=5000)
+        assert sizes == started
+        assert [r.phonemized for r in out] == ["tʃ a"] * rows
 
 
 class TestWriteCorpus:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonofold.chars import is_punctuation_word
@@ -112,6 +112,93 @@ class TestConvertRules:
         rule = RewriteRule(("b",), ("a",), left=("a",))
         assert rule.apply(tuple("abb")) == ("a", "a", "b")
 
+
+
+def oracle_context_ok(rule, seq, start, end):
+    """The scan-every-position engine's context test, kept as the reference."""
+    if rule.left:
+        if start < len(rule.left) or tuple(seq[start - len(rule.left) : start]) != rule.left:
+            return False
+    if rule.left_anchor and start - len(rule.left) != 0:
+        return False
+    if rule.right:
+        if tuple(seq[end : end + len(rule.right)]) != rule.right:
+            return False
+    if rule.right_anchor and end + len(rule.right) != len(seq):
+        return False
+    return True
+
+
+def oracle_matches_at(rule, seq, i):
+    width = len(rule.target)
+    return tuple(seq[i : i + width]) == rule.target and oracle_context_ok(rule, seq, i, i + width)
+
+
+def oracle_apply(rule, seq):
+    """One left-to-right pass that tries every position, as the reference engine."""
+    out, i = [], 0
+    while i < len(seq):
+        if oracle_matches_at(rule, seq, i):
+            out.extend(rule.replacement)
+            i += len(rule.target)
+        else:
+            out.append(seq[i])
+            i += 1
+    return tuple(out)
+
+
+# Plain letters, a lone NFD combining mark, a decomposed letter, regex
+# metacharacters and the boundary tokens: anything a regex-built engine
+# would have to escape or a token-level rule can meet.
+REWRITE_SYMBOLS = ["a", "b", "\u0301", "e\u0301", ".", "*", "(", "\\", "$", "^", "#"]
+REWRITE_SYMBOLS += [Boundary.WORD, Boundary.UTT]
+_symbol = st.sampled_from(REWRITE_SYMBOLS)
+
+
+def _symbols(low, high):
+    return st.lists(_symbol, min_size=low, max_size=high).map(tuple)
+
+
+_rewrite_rules = st.builds(
+    RewriteRule,
+    _symbols(1, 3),
+    _symbols(0, 3),
+    _symbols(0, 2),
+    _symbols(0, 2),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@st.composite
+def rule_and_input(draw):
+    """A rule and a tuple or stream built of single symbols, runs of the
+    target's first symbol and whole copies of the rule's match window."""
+    rule = draw(_rewrite_rules)
+    window = rule.left + rule.target + rule.right
+    piece = st.one_of(
+        _symbol.map(lambda s: (s,)),
+        st.integers(2, 5).map(lambda k: rule.target[:1] * k),
+        st.just(window),
+    )
+    tokens = [s for p in draw(st.lists(piece, max_size=8)) for s in p]
+    if draw(st.booleans()):
+        return rule, repair_tokens(tokens)
+    return rule, tuple(tokens)
+
+
+@settings(max_examples=500)
+@given(rule_and_input())
+@example((RewriteRule(("a", "a"), ("b",)), tuple("aaaa")))
+@example((RewriteRule(("a",), ("b",), left=("a",), left_anchor=True), tuple("aaa")))
+@example((RewriteRule(("a",), (), right=("$",), right_anchor=True), tuple("aa$")))
+def test_apply_matches_the_every_position_oracle(case):
+    rule, seq = case
+    got = rule.apply(seq)
+    assert got == oracle_apply(rule, seq)
+    assert type(got) is tuple or got is seq
+    if not any(oracle_matches_at(rule, seq, i) for i in range(len(seq))):
+        assert got is seq
 
 class TestRuleFileParsing:
     def test_sections_and_comments(self, fixtures):
