@@ -3,13 +3,14 @@
 Subcommands: convert, validate, match, corpus, stats, info, check-map,
 suggest. Options can come from a key=value config file (--config), with
 command-line flags taking precedence. PHONOFOLD_INVENTORY sets the default
-inventory CSV path.
+inventory CSV path. ``main`` is the one place that turns an error into an
+exit code: 2 for a bad flag, value or file (one that cannot be opened, read,
+written, decoded as UTF-8 or parsed), 1 for any other toolkit error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -57,8 +58,7 @@ def load_config_file(path) -> dict:
 
     ``schema.FIELD = COLUMN`` lines gather under "schema" as ``--schema`` values.
     """
-    with _user_file():
-        text = read_text(path)
+    text = read_text(path)
     values: dict = {}
     for line_num, raw in content_lines(text):
         key, sep, value = (part.strip() for part in raw.partition("="))
@@ -104,43 +104,27 @@ def fill_options(args) -> None:
         raise ConfigError("workers must be >= 1")
 
 
-@contextlib.contextmanager
-def _user_file():
-    """Report a user file that cannot be opened, read or parsed as a ConfigError."""
-    try:
-        yield
-    except (OSError, FormatError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _open_user_file(source, mode: str = "r"):
-    """``open_text`` for a user-named path or handle, failing as a ConfigError."""
-    with _user_file():
-        return open_text(source, mode)
-
-
 def build_backend(args):
     if args.backend is None:
         raise ConfigError("no backend selected (use --backend)")
     if args.backend not in BACKEND_KINDS:
         raise ConfigError(f"unknown backend {args.backend!r}; choose from {BACKEND_KINDS}")
-    with _user_file():
-        if args.backend == "rules":
-            if not args.rules:
-                raise ConfigError("rules backend needs --rules FILE")
-            return g2p.RulesBackend(g2p.load_rule_file(args.rules))
-        if args.backend == "lexicon":
-            if not args.lexicon:
-                raise ConfigError("lexicon backend needs --lexicon FILE")
-            fallback = g2p.load_rule_file(args.rules) if args.rules else None
-            return g2p.LexiconBackend(g2p.load_lexicon(args.lexicon), fallback)
-        if args.backend == "syllabary":
-            if not args.table:
-                raise ConfigError("syllabary backend needs --table FILE")
-            return g2p.SyllabaryBackend(
-                g2p.load_syllable_table(args.table), split_tones=args.split_tones
-            )
-        return g2p.PassthroughBackend()
+    if args.backend == "rules":
+        if not args.rules:
+            raise ConfigError("rules backend needs --rules FILE")
+        return g2p.RulesBackend(g2p.load_rule_file(args.rules))
+    if args.backend == "lexicon":
+        if not args.lexicon:
+            raise ConfigError("lexicon backend needs --lexicon FILE")
+        fallback = g2p.load_rule_file(args.rules) if args.rules else None
+        return g2p.LexiconBackend(g2p.load_lexicon(args.lexicon), fallback)
+    if args.backend == "syllabary":
+        if not args.table:
+            raise ConfigError("syllabary backend needs --table FILE")
+        return g2p.SyllabaryBackend(
+            g2p.load_syllable_table(args.table), split_tones=args.split_tones
+        )
+    return g2p.PassthroughBackend()
 
 
 def _load_fold(args) -> folding.FoldMap | None:
@@ -148,8 +132,7 @@ def _load_fold(args) -> folding.FoldMap | None:
         return None
     if not args.fold:
         raise ConfigError("a fold map is required unless --uncorrected is set")
-    with _user_file():
-        return folding.load_fold_map(args.fold)
+    return folding.load_fold_map(args.fold)
 
 
 def _load_inventory(args) -> inventory.Inventory:
@@ -165,8 +148,7 @@ def _load_inventory(args) -> inventory.Inventory:
 def _load_inventories(args) -> list[inventory.Inventory]:
     if not args.inventory:
         raise ConfigError(f"no inventory file (use --inventory or ${INVENTORY_ENV})")
-    with _user_file():
-        inventories = inventory.load_inventories(args.inventory)
+    inventories = inventory.load_inventories(args.inventory)
     if not inventories:
         raise ConfigError(f"no inventories in {args.inventory}")
     return inventories
@@ -174,7 +156,7 @@ def _load_inventories(args) -> list[inventory.Inventory]:
 
 def _input_streams(path: str):
     """``parse_stream`` of each line of a text file, or of each ``phonemized`` cell of a CSV."""
-    with _open_user_file(path) as handle:
+    with open_text(path) as handle:
         lines = handle
         if Path(path).suffix.lower() == ".csv":
             reader = csv.DictReader(handle)
@@ -188,7 +170,7 @@ def _read_observed(path: str) -> set[IpaSegment]:
     """Observed segment set from a summary JSON, or from the streams of any other file."""
     if Path(path).suffix.lower() != ".json":
         return {segment for stream in _input_streams(path) for segment in segment_types(stream)}
-    with _open_user_file(path) as handle:
+    with open_text(path) as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -205,7 +187,7 @@ def cmd_convert(args) -> int:
     had_error = False
     source = sys.stdin if args.input in (None, "-") else args.input
     sink = sys.stdout if args.output in (None, "-") else args.output
-    with _open_user_file(source) as lines, _open_user_file(sink, "w") as out_handle:
+    with open_text(source) as lines, open_text(sink, "w") as out_handle:
         for line_num, line in enumerate(lines, start=1):
             record = corpus.UtteranceRecord(gloss=line.rstrip("\n"))
             record, *_ = corpus.convert_record(record, backend, fold_map, args.keep_word_boundaries)
@@ -217,8 +199,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    with _user_file():
-        allow = set(as_segments(args.allow, "allow", None))
+    allow = set(as_segments(args.allow, "allow", None))
     inv = _load_inventory(args)
     observed = _read_observed(args.observed)
     report = folding.diff_inventory(observed, inv)
@@ -250,8 +231,7 @@ def cmd_corpus(args) -> int:
             raise ConfigError(f"cannot write {path}")
 
     row_errors: list = []
-    with _user_file():
-        records = list(corpus.read_corpus(args.input, args.schema, args.child_role, row_errors))
+    records = list(corpus.read_corpus(args.input, args.schema, args.child_role, row_errors))
 
     started = time.perf_counter()
     converted, summary = corpus.convert_corpus(
@@ -268,10 +248,9 @@ def cmd_corpus(args) -> int:
     payload = summary.to_json()
     payload["skipped_rows"] = len(row_errors)
     payload["seconds"] = round(elapsed, 3)
-    with _user_file():
-        corpus.write_corpus(converted, args.output, schema=args.schema)
-        with open_text(summary_path, "w") as handle:
-            json.dump(payload, handle, ensure_ascii=False, indent=2)
+    corpus.write_corpus(converted, args.output, schema=args.schema)
+    with open_text(summary_path, "w") as handle:
+        json.dump(payload, handle, ensure_ascii=False, indent=2)
     print(f"{summary.rows} rows, {summary.errors} errors", file=sys.stderr)
     return 1 if summary.errors or row_errors else 0
 
@@ -291,22 +270,20 @@ def cmd_stats(args) -> int:
 def cmd_info(args) -> int:
     if args.sample_size is not None and args.sample_size < 1:
         raise ConfigError("sample-size must be >= 1")
-    with _user_file():
-        records = corpus.read_corpus(args.input, args.schema, args.child_role)
-        records = [r for r in records if not r.is_child]
+    records = corpus.read_corpus(args.input, args.schema, args.child_role)
+    records = [r for r in records if not r.is_child]
     points = analysis.info_by_age(
         records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed
     )
     sink = sys.stdout if args.output in (None, "-") else args.output
-    with _open_user_file(sink, "w") as out_handle:
+    with open_text(sink, "w") as out_handle:
         for row in analysis.curve_rows(points):
             print(",".join(str(v) for v in row), file=out_handle)
     return 0
 
 
 def cmd_check_map(args) -> int:
-    with _user_file():
-        fold_map = folding.load_fold_map(args.map)
+    fold_map = folding.load_fold_map(args.map)
     diagnostics = folding.check_fold_map(fold_map)
     for diagnostic in diagnostics:
         print(diagnostic)
@@ -413,9 +390,9 @@ def main(argv=None) -> int:
         # The reader stopped early (``| head``); send what is left to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except PhonofoldError as exc:
+    except (PhonofoldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ConfigError, FormatError)) else 1
+        return 2 if isinstance(exc, (ConfigError, FormatError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -240,11 +240,7 @@ def convert_corpus(
         results = [job(r) for r in records]
     for converted, observed, unmapped in results:
         out.append(converted)
-        summary.rows += 1
-        if converted.error:
-            summary.errors += 1
-        summary.observed |= observed
-        summary.unmapped |= unmapped
+        summary.merge(RunSummary(1, int(bool(converted.error)), observed, unmapped))
     return out, summary
 
 

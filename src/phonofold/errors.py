@@ -8,7 +8,7 @@ class PhonofoldError(Exception):
 
 
 class ConfigError(PhonofoldError):
-    """Invalid run configuration (bad flag combination, missing file, unknown key)."""
+    """Invalid run configuration (bad flag combination, unknown key, bad value)."""
 
 
 class FormatError(PhonofoldError, ValueError):

@@ -106,7 +106,6 @@ class GraphemeMap:
             self._table.setdefault(grapheme, segments)
         keys = sorted(self._table, key=len, reverse=True)
         self._pattern = re.compile("|".join([*map(re.escape, keys), "."]), re.S)
-        self._passthrough: dict[str, tuple[IpaSegment]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -169,10 +168,9 @@ def convert_rules(rules: RuleSet, word: str) -> tuple[list[IpaSegment], set[str]
         mapped = grapheme_map._table.get(piece)
         if mapped is None:
             unmapped.add(piece)
-            mapped = grapheme_map._passthrough.get(piece)
-            if mapped is None:
-                mapped = grapheme_map._passthrough[piece] = (IpaSegment(piece),)
-        segments.extend(mapped)
+            segments.append(coerce_token(piece))
+        else:
+            segments.extend(mapped)
 
     if rules.post_rules:
         seq: Sequence[str] = tuple(segments)

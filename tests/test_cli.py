@@ -22,14 +22,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def popen_cli(*argv):
+def popen_cli(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, so stderr shows any traceback."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.Popen(
         [sys.executable, "-m", "phonofold.cli", *argv],
         env=env,
-        stdout=subprocess.PIPE,
+        stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         encoding="utf-8",
@@ -583,6 +583,10 @@ class TestUserFileErrors:
             ["validate", "--inventory", "{inventory}", *FRENCH_ARGS, "{missing}.json"],
             ["suggest", "--inventory", "{inventory}", *FRENCH_ARGS, "{missing}.json"],
             ["check-map", "{missing}.fold"],
+            ["stats", "--config", "{missing}.conf", "{inventory}"],
+            ["convert", "--backend", "rules", "--rules", "{missing}.rules", "{inventory}"],
+            ["convert", "--backend", "passthrough", "--fold", "{missing}.fold", "{inventory}"],
+            ["match", "--inventory", "{missing}.csv", "{inventory}"],
         ],
     )
     def test_missing_input_exits_two(self, command, fixtures, tmp_path):
@@ -600,6 +604,20 @@ class TestUserFileErrors:
         else:
             argv = ["info", "--output", target, str(fixtures / "corpus_small.csv")]
         assert_clean_error(popen_cli(*argv), "No such file", target)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["convert", "info", "stats"])
+    def test_full_device_output_exits_two(self, command, fixtures):
+        text = str(fixtures / "french_backend_output.txt")
+        if command == "convert":
+            argv = ["convert", "--backend", "passthrough", "--uncorrected"]
+            proc = popen_cli(*argv, "--output", "/dev/full", text)
+        elif command == "info":
+            proc = popen_cli("info", "--output", "/dev/full", str(fixtures / "corpus_small.csv"))
+        else:
+            with open("/dev/full", "w") as full:
+                proc = popen_cli("stats", text, stdout=full)
+        assert_clean_error(proc, "No space left on device")
 
     @pytest.mark.parametrize(
         "content, fragments",
