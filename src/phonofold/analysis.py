@@ -13,13 +13,16 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import UnseenSymbolError
 from .inventory import Inventory, TernaryValue
 from .stream import IpaSegment, PhonemeStream, open_text, parse_stream
+
+# numpy is imported inside the three functions that use it, so a command
+# that never reaches them does not pay for loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 UNKNOWN_SYMBOL = "<unk>"
 
@@ -212,6 +215,8 @@ class LabeledVectorSet:
     labels: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         vectors = np.asarray(self.vectors, dtype=float)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -223,6 +228,8 @@ class LabeledVectorSet:
 
 def load_labeled_vectors(source, label_column: str = "label") -> LabeledVectorSet:
     """Read a LabeledVectorSet from CSV: one label column, the rest numeric."""
+    import numpy as np
+
     with open_text(source) as handle:
         rows = list(csv.DictReader(handle))
     if not rows:
@@ -240,6 +247,8 @@ def silhouette(data: LabeledVectorSet, metric: str = "euclidean") -> float:
     point's own cluster (excluding itself) and b the smallest mean distance
     to any other cluster; singleton-cluster points and a = b = 0 score 0.
     """
+    import numpy as np
+
     if metric != "euclidean":
         raise ValueError("only the euclidean metric is supported")
     vectors = data.vectors

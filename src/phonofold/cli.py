@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
 from .errors import ConfigError, FormatError, PhonofoldError
-from .stream import IpaSegment, as_segments, content_lines, open_text, parse_stream, read_text
-from .stream import segment_types
+from .stream import IpaSegment, as_segments, atomic_paths, content_lines, open_text
+from .stream import parse_stream, read_text, segment_types
 
 INVENTORY_ENV = "PHONOFOLD_INVENTORY"
 
@@ -154,14 +154,19 @@ def _load_inventories(args) -> list[inventory.Inventory]:
     return inventories
 
 
+def _check_phonemized(path, header) -> None:
+    """Raise unless a CSV header (None for an empty file) names the phonemized column."""
+    if header is None or "phonemized" not in header:
+        raise ConfigError(f"{path}: no phonemized column to read segments from")
+
+
 def _input_streams(path: str):
     """``parse_stream`` of each line of a text file, or of each ``phonemized`` cell of a CSV."""
     with open_text(path) as handle:
         lines = handle
         if Path(path).suffix.lower() == ".csv":
             reader = csv.DictReader(handle)
-            if reader.fieldnames is None or "phonemized" not in reader.fieldnames:
-                raise ConfigError(f"{path}: no phonemized column to read segments from")
+            _check_phonemized(path, reader.fieldnames)
             lines = (row["phonemized"] or "" for row in reader)
         yield from map(parse_stream, lines)
 
@@ -187,6 +192,9 @@ def cmd_convert(args) -> int:
     had_error = False
     source = sys.stdin if args.input in (None, "-") else args.input
     sink = sys.stdout if args.output in (None, "-") else args.output
+    paths = (source, sink)
+    if all(isinstance(p, str) and os.path.exists(p) for p in paths) and os.path.samefile(*paths):
+        raise ConfigError(f"--output {sink} is the input file")
     with open_text(source) as lines, open_text(sink, "w") as out_handle:
         for line_num, line in enumerate(lines, start=1):
             record = corpus.UtteranceRecord(gloss=line.rstrip("\n"))
@@ -227,7 +235,11 @@ def cmd_corpus(args) -> int:
     fold_map = _load_fold(args)
     summary_path = args.summary or (args.output + ".summary.json")
     for path in map(Path, (args.output, summary_path)):  # fail before any conversion work
-        if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+        # atomic_paths writes a regular or new file's stand-in into its directory
+        needs = [path] if path.exists() else []
+        if not path.exists() or path.is_file():
+            needs.append(path.resolve().parent)
+        if path.is_dir() or not all(os.access(p, os.W_OK) for p in needs):
             raise ConfigError(f"cannot write {path}")
 
     row_errors: list = []
@@ -248,9 +260,10 @@ def cmd_corpus(args) -> int:
     payload = summary.to_json()
     payload["skipped_rows"] = len(row_errors)
     payload["seconds"] = round(elapsed, 3)
-    corpus.write_corpus(converted, args.output, schema=args.schema)
-    with open_text(summary_path, "w") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
+    with atomic_paths(args.output, summary_path) as (output_temp, summary_temp):
+        corpus.write_corpus(converted, output_temp, schema=args.schema)
+        with open_text(summary_temp, "w") as handle:
+            json.dump(payload, handle, ensure_ascii=False, indent=2)
     print(f"{summary.rows} rows, {summary.errors} errors", file=sys.stderr)
     return 1 if summary.errors or row_errors else 0
 
@@ -270,6 +283,8 @@ def cmd_stats(args) -> int:
 def cmd_info(args) -> int:
     if args.sample_size is not None and args.sample_size < 1:
         raise ConfigError("sample-size must be >= 1")
+    with open_text(args.input) as handle:
+        _check_phonemized(args.input, next(csv.reader(handle), None))
     records = corpus.read_corpus(args.input, args.schema, args.child_role)
     records = [r for r in records if not r.is_child]
     points = analysis.info_by_age(

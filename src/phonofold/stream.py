@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import os
 import unicodedata
 from enum import Enum
 from typing import Iterable, Iterator, Union
@@ -101,6 +102,33 @@ def read_text(path) -> str:
     """The whole text of a UTF-8 file."""
     with open_text(path) as handle:
         return handle.read()
+
+
+@contextlib.contextmanager
+def atomic_paths(*paths):
+    """Paths to write instead of ``paths``, each moved onto its own once the block succeeds.
+
+    Each stand-in is a new file beside the file it replaces (beside a symlink's
+    target), and it is removed if the block or a move fails. A path that exists
+    and is not a regular file, such as /dev/stdout, is its own stand-in.
+    """
+    moves = []
+    for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            moves.append((path, path))
+            continue
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
+        moves.append((os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp"), target))
+    try:
+        yield [temp for temp, _ in moves]
+        for temp, target in moves:
+            if temp != target:
+                os.replace(temp, target)
+    finally:
+        for temp, target in moves:
+            if temp != target and os.path.lexists(temp):
+                os.remove(temp)
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -209,6 +209,17 @@ class TestConvert:
         assert out == "a b\n\nc\n"
         assert err == "line 2: RuntimeError: backend fell over\n"
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_output_onto_its_own_input_exits_two(self, fixtures, tmp_path, link):
+        text = tmp_path / "lines.txt"
+        text.write_bytes((fixtures / "french_backend_output.txt").read_bytes())
+        output = tmp_path / "link.txt" if link else text
+        if link:
+            output.symlink_to(text)
+        argv = ["convert", "--backend", "passthrough", "--uncorrected", "--output", str(output)]
+        assert_clean_error(popen_cli(*argv, str(text)), "is the input file")
+        assert text.read_bytes() == (fixtures / "french_backend_output.txt").read_bytes()
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("bogus = 1\n", encoding="utf-8")
@@ -401,6 +412,43 @@ class TestCorpus:
             outputs.append(out_csv.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_failed_summary_write_leaves_no_output(self, capsys, fixtures, tmp_path, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", full_disk)
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected", "--input"]
+        argv += [str(fixtures / "corpus_small.csv"), "--output", str(tmp_path / "out.csv")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []  # no out.csv, no stand-in left behind
+
+    def test_outputs_replace_old_files_and_leave_no_stand_ins(self, capsys, fixtures, tmp_path):
+        out_csv = tmp_path / "out.csv"
+        out_csv.write_text("old\n", encoding="utf-8")
+        (tmp_path / "real.json").write_text("old\n", encoding="utf-8")
+        (tmp_path / "summary.json").symlink_to(tmp_path / "real.json")
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected", "--input"]
+        argv += [str(fixtures / "corpus_small.csv"), "--output", str(out_csv)]
+        code, _, _ = run(capsys, *argv, "--summary", str(tmp_path / "summary.json"))
+        assert code == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["out.csv", "real.json", "summary.json"]
+        assert out_csv.read_text(encoding="utf-8").startswith("id,")
+        assert (tmp_path / "summary.json").is_symlink()
+        assert json.loads((tmp_path / "real.json").read_text(encoding="utf-8"))["rows"] == 3
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_device_summary_is_written_in_place(self, fixtures, tmp_path):
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected", "--input"]
+        argv += [str(fixtures / "corpus_small.csv"), "--output", str(tmp_path / "out.csv")]
+        proc = popen_cli(*argv, "--summary", "/dev/stdout")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert json.loads(out)["rows"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
     @pytest.mark.parametrize("target", ["output", "summary"])
     def test_unwritable_output_fails_before_converting(self, fixtures, tmp_path, target):
         paths = {"output": str(tmp_path / "out.csv"), "summary": str(tmp_path / "s.json")}
@@ -496,6 +544,12 @@ class TestStatsAndInfo:
         assert info.value.code == 2
         assert "--schema" in capsys.readouterr().err
 
+    def test_info_without_phonemized_column_exits_two(self, fixtures):
+        source = str(fixtures / "corpus_small.csv")
+        assert_clean_error(
+            popen_cli("info", source), source, "no phonemized column to read segments from"
+        )
+
     def test_info_two_buckets(self, capsys, tmp_path):
         corpus_csv = tmp_path / "converted.csv"
         corpus_csv.write_text(
@@ -571,6 +625,39 @@ def assert_clean_error(proc, *fragments):
         assert fragment in err, err
 
 
+class TestNumpyStaysUnloaded:
+    """numpy loads only when silhouette or the labeled-vector analytics run."""
+
+    def run_python(self, code):
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("module", ["phonofold.cli", "phonofold"])
+    def test_import_does_not_load_numpy(self, module):
+        proc = self.run_python(f"import sys, {module}; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_silhouette_of_a_vector_file(self, tmp_path):
+        vectors = tmp_path / "vectors.csv"
+        vectors.write_text("label,x,y\nL,0,0\nL,0,1\nR,10,0\nR,10,1\n", encoding="utf-8")
+        proc = self.run_python(
+            "import sys\n"
+            "from phonofold.analysis import load_labeled_vectors, silhouette\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"print(repr(silhouette(load_labeled_vectors({str(vectors)!r}))))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        # a = 1 and b = (10 + sqrt(101)) / 2 for every point
+        assert float(proc.stdout) == pytest.approx(1 - 2 / (10 + 101**0.5), abs=1e-12)
+
+
 class TestUserFileErrors:
     @pytest.mark.parametrize(
         "command",
@@ -602,18 +689,18 @@ class TestUserFileErrors:
             argv = ["convert", "--backend", "passthrough", "--uncorrected"]
             argv += ["--output", target, str(fixtures / "french_backend_output.txt")]
         else:
-            argv = ["info", "--output", target, str(fixtures / "corpus_small.csv")]
+            argv = ["info", "--output", target, str(curve_corpus(tmp_path))]
         assert_clean_error(popen_cli(*argv), "No such file", target)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["convert", "info", "stats"])
-    def test_full_device_output_exits_two(self, command, fixtures):
+    def test_full_device_output_exits_two(self, command, fixtures, tmp_path):
         text = str(fixtures / "french_backend_output.txt")
         if command == "convert":
             argv = ["convert", "--backend", "passthrough", "--uncorrected"]
             proc = popen_cli(*argv, "--output", "/dev/full", text)
         elif command == "info":
-            proc = popen_cli("info", "--output", "/dev/full", str(fixtures / "corpus_small.csv"))
+            proc = popen_cli("info", "--output", "/dev/full", str(curve_corpus(tmp_path)))
         else:
             with open("/dev/full", "w") as full:
                 proc = popen_cli("stats", text, stdout=full)
