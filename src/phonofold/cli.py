@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -48,7 +49,7 @@ OPTIONS = {
     "split_tones": (corpus.is_true, False),
     "workers": (int, 1),
     "seed": (int, None),
-    "child_role": (str, "CHI"),
+    "child_role": (str, corpus.CHILD_ROLE),
     "allow": (_words, ()),
 }
 
@@ -156,7 +157,7 @@ def _load_inventories(args) -> list[inventory.Inventory]:
 
 def _check_phonemized(path, header) -> None:
     """Raise unless a CSV header (None for an empty file) names the phonemized column."""
-    if header is None or "phonemized" not in header:
+    if header is None or corpus.PHONEMIZED not in header:
         raise ConfigError(f"{path}: no phonemized column to read segments from")
 
 
@@ -167,7 +168,7 @@ def _input_streams(path: str):
         if Path(path).suffix.lower() == ".csv":
             reader = csv.DictReader(handle)
             _check_phonemized(path, reader.fieldnames)
-            lines = (row["phonemized"] or "" for row in reader)
+            lines = (row[corpus.PHONEMIZED] or "" for row in reader)
         yield from map(parse_stream, lines)
 
 
@@ -186,23 +187,33 @@ def _read_observed(path: str) -> set[IpaSegment]:
     return set(as_segments(segments, path, None))
 
 
+def _reads_file_at(handle, path) -> bool:
+    """Whether a handle reads the regular file at path: by its path, a link or a < redirect."""
+    try:
+        opened, target = os.fstat(handle.fileno()), os.stat(path)
+    except (OSError, ValueError):  # no file at path, or no file descriptor behind the handle
+        return False
+    return stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, target)
+
+
 def cmd_convert(args) -> int:
     backend = build_backend(args)
     fold_map = _load_fold(args)
     had_error = False
     source = sys.stdin if args.input in (None, "-") else args.input
     sink = sys.stdout if args.output in (None, "-") else args.output
-    paths = (source, sink)
-    if all(isinstance(p, str) and os.path.exists(p) for p in paths) and os.path.samefile(*paths):
-        raise ConfigError(f"--output {sink} is the input file")
-    with open_text(source) as lines, open_text(sink, "w") as out_handle:
-        for line_num, line in enumerate(lines, start=1):
-            record = corpus.UtteranceRecord(gloss=line.rstrip("\n"))
-            record, *_ = corpus.convert_record(record, backend, fold_map, args.keep_word_boundaries)
-            if record.error:
-                print(f"line {line_num}: {record.error}", file=sys.stderr)
-                had_error = True
-            print(record.phonemized, file=out_handle)
+    with open_text(source) as lines:
+        if isinstance(sink, str) and _reads_file_at(lines, sink):
+            raise ConfigError(f"--output {sink} is the input file")
+        with open_text(sink, "w") as out_handle:
+            for line_num, line in enumerate(lines, start=1):
+                phonemized, error, *_ = corpus.convert_text(
+                    line.rstrip("\n"), backend, fold_map, args.keep_word_boundaries
+                )
+                if error:
+                    print(f"line {line_num}: {error}", file=sys.stderr)
+                    had_error = True
+                print(phonemized, file=out_handle)
     return 1 if had_error else 0
 
 

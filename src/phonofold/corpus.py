@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .errors import FormatError, PhonofoldError
 from .folding import FoldMap, apply_fold
 from .g2p import convert_utterance
-from .stream import emit_stream, open_text, segment_types
+from .stream import IpaSegment, emit_stream, open_text, segment_types
 
 AVERAGE_MONTH_DAYS = 30.44
 
@@ -35,7 +35,9 @@ DEFAULT_SCHEMA = {
 }
 
 # Columns this toolkit writes; picked up again transparently on re-read.
-OUTPUT_COLUMNS = ("phonemized", "is_child", "errors")
+PHONEMIZED = "phonemized"
+OUTPUT_COLUMNS = (PHONEMIZED, "is_child", "errors")
+CHILD_ROLE = "CHI"  # the speaker role that marks a child's row when no is_child column does
 
 _AGE_RE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
 _TRUE_WORDS = {"true", "1", "yes", "on"}
@@ -85,7 +87,7 @@ def _age_from_cell(cell: str) -> float | None:
 def read_corpus(
     source,
     schema: dict | None = None,
-    child_role: str = "CHI",
+    child_role: str = CHILD_ROLE,
     row_errors: list | None = None,
 ) -> Iterator[UtteranceRecord]:
     """Yield records from a corpus CSV in file order.
@@ -120,7 +122,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
 
         age_text = cell("target_child_age")
         speaker_role = cell("speaker_role")
-        record = UtteranceRecord(
+        yield UtteranceRecord(
             utterance_id=cell("utterance_id"),
             transcript_id=cell("transcript_id"),
             corpus_id=cell("corpus_id"),
@@ -129,7 +131,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
             target_child_age=_age_from_cell(age_text),
             age_text=age_text,
             gloss=cell("gloss"),
-            phonemized=row.get("phonemized") if "phonemized" in row else None,
+            phonemized=row.get(PHONEMIZED),
             is_child=(
                 is_true(row["is_child"])
                 if "is_child" in row
@@ -138,7 +140,6 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
             error=row.get("errors", ""),
             extra={k: v for k, v in row.items() if k not in mapped},
         )
-        yield record
 
 
 def _rows(reader: csv.DictReader, row_errors) -> Iterator[dict]:
@@ -183,25 +184,21 @@ class RunSummary:
         }
 
 
-def convert_record(
-    record: UtteranceRecord,
-    backend,
-    fold_map: FoldMap | None,
-    keep_word_boundaries: bool,
-) -> tuple[UtteranceRecord, set[str], set[str]]:
-    """Convert, fold and emit one record's gloss; any exception becomes the record's error."""
+def convert_text(
+    text: str, backend, fold_map: FoldMap | None, keep_word_boundaries: bool
+) -> tuple[str, str, set[IpaSegment], set[str]]:
+    """(phonemized, error, observed, unmapped) of one utterance; an exception becomes the error."""
     try:
         # Streams are built with word boundaries so folding never matches
         # across words; the caller's flag only controls emission.
-        stream, unmapped = convert_utterance(backend, record.gloss, keep_word_boundaries=True)
+        stream, unmapped = convert_utterance(backend, text, keep_word_boundaries=True)
         if fold_map is not None:
             stream = apply_fold(fold_map, stream)
     except Exception as exc:  # one bad row never aborts the run
         error = str(exc) if isinstance(exc, PhonofoldError) else f"{type(exc).__name__}: {exc}"
-        return replace(record, phonemized="", error=error), set(), set()
+        return "", error, set(), set()
     emitted = emit_stream(stream, keep_word_boundaries=keep_word_boundaries)
-    observed = {str(s) for s in segment_types(stream)}
-    return replace(record, phonemized=emitted, error=""), observed, unmapped
+    return emitted, "", segment_types(stream), unmapped
 
 
 def convert_corpus(
@@ -212,22 +209,23 @@ def convert_corpus(
     uncorrected: bool = False,
     workers: int = 1,
 ) -> tuple[list[UtteranceRecord], RunSummary]:
-    """Convert every record, preserving input order.
+    """Convert every record's gloss, preserving input order.
 
     Failed utterances keep their row with the error recorded. The summary
     collects the post-fold observed segment set and unmapped characters,
-    independent of worker count. The pool starts at most one process per
-    CPU this process may run on, and per record.
+    independent of worker count. The pool starts at most one process per CPU
+    this process may run on, and per record, and is sent only the glosses.
     """
     if fold_map is None and not uncorrected:
         raise ValueError("fold_map is required unless uncorrected is set")
     records = list(records)
     job = partial(
-        convert_record,
+        convert_text,
         backend=backend,
         fold_map=None if uncorrected else fold_map,
         keep_word_boundaries=keep_word_boundaries,
     )
+    glosses = (record.gloss for record in records)
     summary = RunSummary()
     out: list[UtteranceRecord] = []
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -235,12 +233,12 @@ def convert_corpus(
     if workers > 1:
         chunksize = max(1, len(records) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, records, chunksize=chunksize))
+            results = list(pool.map(job, glosses, chunksize=chunksize))
     else:
-        results = [job(r) for r in records]
-    for converted, observed, unmapped in results:
-        out.append(converted)
-        summary.merge(RunSummary(1, int(bool(converted.error)), observed, unmapped))
+        results = map(job, glosses)
+    for record, (phonemized, error, observed, unmapped) in zip(records, results):
+        out.append(replace(record, phonemized=phonemized, error=error))
+        summary.merge(RunSummary(1, int(bool(error)), observed, unmapped))
     return out, summary
 
 
@@ -248,25 +246,15 @@ def write_corpus(records: Iterable[UtteranceRecord], target, schema: dict | None
     """Write records as CSV: original columns plus phonemized/is_child/errors."""
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     records = list(records)
-    extra_columns: list[str] = []
-    if records:
-        extra_columns = list(records[0].extra)
+    extra_columns = list(records[0].extra) if records else []
     header = list(schema.values()) + extra_columns + list(OUTPUT_COLUMNS)
 
     def rows():
         yield header
         for record in records:
-            row = []
-            for canonical in schema:
-                if canonical == "target_child_age":
-                    row.append(record.age_text)
-                else:
-                    row.append(getattr(record, canonical))
+            row = [getattr(record, "age_text" if c == "target_child_age" else c) for c in schema]
             row.extend(record.extra.get(col, "") for col in extra_columns)
-            row.append(record.phonemized if record.phonemized is not None else "")
-            row.append(str(record.is_child))
-            row.append(record.error)
-            yield row
+            yield row + [record.phonemized or "", str(record.is_child), record.error]
 
     with open_text(target, "w") as handle:
         csv.writer(handle).writerows(rows())

@@ -1,13 +1,14 @@
 """Canonical phoneme-stream representation.
 
 A stream is a checked tuple of tokens: IPA segments (one phoneme each,
-possibly several characters) and reserved word/utterance boundary markers,
-with no two word boundaries adjacent and no word boundary next to an
-utterance boundary. The text form is a single line of space-separated
-tokens, with the literals WORD_BOUNDARY and UTT_BOUNDARY marking boundaries.
-``repair_tokens`` is the package's builder: it makes the boundary invariants
-hold as it builds, so a stream is checked once, where it enters the system.
-``PhonemeStream(tokens)`` is the public door, which rejects rather than repairs.
+possibly several characters) and reserved word/utterance boundary markers.
+A word boundary never comes first, never follows another boundary and never
+precedes an utterance boundary. The text form is a single line of
+space-separated tokens, with the literals WORD_BOUNDARY and UTT_BOUNDARY
+marking boundaries. ``repair_tokens`` is the package's builder: it drops each
+word boundary that breaks a rule as it builds, so a stream is checked once,
+where it enters the system. ``PhonemeStream(tokens)`` is the public door: it
+builds through ``repair_tokens`` and rejects rather than repairs.
 
 Token text becomes a token through ``coerce_token`` and one module-level
 intern table, text -> finished token, seeded with the two boundary literals.
@@ -194,22 +195,21 @@ def repair_tokens(tokens: Iterable) -> PhonemeStream:
 class PhonemeStream(tuple):
     """A checked tuple of stream tokens.
 
-    ``PhonemeStream(tokens)`` coerces each token, then rejects adjacent word
-    boundaries and a word boundary next to an utterance boundary. Inside the
-    package ``repair_tokens`` builds every stream, repairing instead of
-    rejecting. A stream equals and hashes as the plain tuple of its tokens.
+    ``PhonemeStream(tokens)`` is ``repair_tokens(tokens)``, except that it
+    raises ValueError where the repair would drop a word boundary: a leading
+    one, one after another boundary, or one before an utterance boundary.
+    Inside the package ``repair_tokens`` builds every stream. A stream equals
+    and hashes as the plain tuple of its tokens.
     """
 
     __slots__ = ()
 
     def __new__(cls, tokens: Iterable = ()) -> "PhonemeStream":
-        toks = tuple(map(coerce_token, tokens))
-        for prev, cur in zip(toks, toks[1:]):
-            if prev is Boundary.WORD and cur is Boundary.WORD:
-                raise ValueError("adjacent word boundaries")
-            if Boundary.WORD in (prev, cur) and Boundary.UTT in (prev, cur):
-                raise ValueError("word boundary adjacent to utterance boundary")
-        return super().__new__(cls, toks)
+        tokens = list(tokens)
+        stream = repair_tokens(tokens)
+        if len(stream) != len(tokens):
+            raise ValueError("word boundary first, after a boundary or before UTT_BOUNDARY")
+        return stream
 
     @property
     def tokens(self) -> tuple[StreamToken, ...]:

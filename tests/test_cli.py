@@ -22,13 +22,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def popen_cli(*argv, stdout=subprocess.PIPE):
+def popen_cli(*argv, stdout=subprocess.PIPE, stdin=None):
     """The CLI in a fresh interpreter, so stderr shows any traceback."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.Popen(
         [sys.executable, "-m", "phonofold.cli", *argv],
         env=env,
+        stdin=stdin,
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -219,6 +220,26 @@ class TestConvert:
         argv = ["convert", "--backend", "passthrough", "--uncorrected", "--output", str(output)]
         assert_clean_error(popen_cli(*argv, str(text)), "is the input file")
         assert text.read_bytes() == (fixtures / "french_backend_output.txt").read_bytes()
+
+    def test_output_onto_its_own_stdin_exits_two(self, fixtures, tmp_path):
+        original = (fixtures / "french_backend_output.txt").read_bytes()
+        text = tmp_path / "lines.txt"
+        text.write_bytes(original)
+        argv = ["convert", "--backend", "passthrough", "--uncorrected", "--output", str(text)]
+        with open(text, "rb") as stdin:
+            assert_clean_error(popen_cli(*argv, stdin=stdin), "is the input file")
+        assert text.read_bytes() == original
+
+    def test_stdin_from_another_file_writes_an_existing_output(self, fixtures, tmp_path):
+        output = tmp_path / "out.txt"
+        output.write_text("old\n", encoding="utf-8")
+        argv = ["convert", "--backend", "passthrough", "--uncorrected", "--output", str(output)]
+        with open(fixtures / "french_backend_output.txt", "rb") as stdin:
+            proc = popen_cli(*argv, stdin=stdin)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == ""
+        source = (fixtures / "french_backend_output.txt").read_text(encoding="utf-8")
+        assert output.read_text(encoding="utf-8") == source
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

@@ -191,6 +191,54 @@ class TestConvertCorpus:
         assert sizes == started
         assert [r.phonemized for r in out] == ["tʃ a"] * rows
 
+    def test_pool_is_sent_only_glosses_and_rows_keep_their_other_fields(
+        self, monkeypatch, fixtures
+    ):
+        sent = []
+
+        class RecordingPool:
+            """Records every item it is asked to map and maps in this process."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                items = list(items)
+                sent.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        records = read_small(fixtures) + [UtteranceRecord(utterance_id="x", gloss="cha chaq")]
+        for record in records:
+            record.phonemized, record.error = "stale", "stale error"
+        out, summary = convert_corpus(records, FailingBackend(), uncorrected=True, workers=2)
+        assert sent == [r.gloss for r in records]
+        assert all(type(gloss) is str for gloss in sent)
+        converted = [(r.phonemized, r.error) for r in out]
+        lines = ["tʃ a tʃ a", "tʃ a", "tʃ a tʃ a"]
+        assert converted == [(line, "") for line in lines] + [("", "RuntimeError: boom")]
+        masked = {"phonemized": None, "error": None}
+        assert [{**vars(r), **masked} for r in out] == [{**vars(r), **masked} for r in records]
+        assert summary.rows == 4 and summary.errors == 1
+
+
+class TestConvertText:
+    def test_returns_the_emitted_line_and_its_segments(self):
+        fold_map = parse_fold_map("a -> e")
+        result = corpus.convert_text("cha cha", CHA_BACKEND, fold_map, True)
+        assert result == ("tʃ e WORD_BOUNDARY tʃ e", "", {"tʃ", "e"}, set())
+
+    def test_a_raising_backend_gives_only_its_message(self):
+        result = corpus.convert_text("cha chaq", FailingBackend(), None, False)
+        assert result == ("", "RuntimeError: boom", set(), set())
+
 
 class TestWriteCorpus:
     def test_round_trip_preserves_cells(self, fixtures):

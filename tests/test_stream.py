@@ -417,3 +417,25 @@ def test_parsed_stream_is_a_checked_tuple():
     stream = parse_stream("a b")
     assert isinstance(stream, PhonemeStream) and isinstance(stream, tuple)
     assert stream == (seg("a"), seg("b")) and hash(stream) == hash((seg("a"), seg("b")))
+
+
+def test_constructor_rejects_a_leading_word_boundary():
+    with pytest.raises(ValueError):
+        PhonemeStream([W, "a"])
+    with pytest.raises(ValueError):
+        PhonemeStream(["WORD_BOUNDARY", U, "a"])
+
+
+@given(st.one_of(raw_token_lists(), raw_token_lists().map(lambda t: list(repair_tokens(t)))))
+@example([W, "a"])
+@example(["a", U])
+def test_every_stream_the_constructor_accepts_round_trips(tokens):
+    """Emission drops a trailing utterance boundary, as one utterance is one line."""
+    try:
+        stream = PhonemeStream(tokens)
+    except ValueError:
+        assert len(repair_tokens(tokens)) < len(tokens)  # the repair would drop a boundary
+        return
+    assert stream == repair_tokens(tokens)
+    expected = stream[:-1] if stream[-1:] == (U,) else stream
+    assert parse_stream(emit_stream(stream, keep_word_boundaries=True)) == expected
