@@ -187,13 +187,19 @@ def _read_observed(path: str) -> set[IpaSegment]:
     return set(as_segments(segments, path, None))
 
 
-def _reads_file_at(handle, path) -> bool:
-    """Whether a handle reads the regular file at path: by its path, a link or a < redirect."""
+def _refuse_file_at(source, flag: str, path, what: str = "the input file") -> None:
+    """A ConfigError when path, the value of flag, is the regular file at source.
+
+    source is a path, or an open handle matched through a link or a < redirect; a handle
+    with no file descriptor matches nothing. Two paths to one new file match.
+    """
     try:
-        opened, target = os.fstat(handle.fileno()), os.stat(path)
-    except (OSError, ValueError):  # no file at path, or no file descriptor behind the handle
-        return False
-    return stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, target)
+        opened = os.fstat(source.fileno()) if hasattr(source, "read") else os.stat(source)
+        same = stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(path))
+    except (OSError, ValueError):  # no file at a path, or no descriptor behind the handle
+        same = isinstance(source, str) and os.path.realpath(source) == os.path.realpath(path)
+    if same:
+        raise ConfigError(f"{flag} {path} is {what}")
 
 
 def cmd_convert(args) -> int:
@@ -203,9 +209,9 @@ def cmd_convert(args) -> int:
     source = sys.stdin if args.input in (None, "-") else args.input
     sink = sys.stdout if args.output in (None, "-") else args.output
     with open_text(source) as lines:
-        if isinstance(sink, str) and _reads_file_at(lines, sink):
-            raise ConfigError(f"--output {sink} is the input file")
-        with open_text(sink, "w") as out_handle:
+        if sink is not sys.stdout:
+            _refuse_file_at(lines, "--output", sink)
+        with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
             for line_num, line in enumerate(lines, start=1):
                 phonemized, error, *_ = corpus.convert_text(
                     line.rstrip("\n"), backend, fold_map, args.keep_word_boundaries
@@ -245,33 +251,27 @@ def cmd_corpus(args) -> int:
     backend = build_backend(args)
     fold_map = _load_fold(args)
     summary_path = args.summary or (args.output + ".summary.json")
-    for path in map(Path, (args.output, summary_path)):  # fail before any conversion work
-        # atomic_paths writes a regular or new file's stand-in into its directory
-        needs = [path] if path.exists() else []
-        if not path.exists() or path.is_file():
-            needs.append(path.resolve().parent)
-        if path.is_dir() or not all(os.access(p, os.W_OK) for p in needs):
-            raise ConfigError(f"cannot write {path}")
-
-    row_errors: list = []
-    records = list(corpus.read_corpus(args.input, args.schema, args.child_role, row_errors))
-
-    started = time.perf_counter()
-    converted, summary = corpus.convert_corpus(
-        records,
-        backend,
-        fold_map=fold_map,
-        keep_word_boundaries=args.keep_word_boundaries,
-        uncorrected=args.uncorrected,
-        workers=args.workers,
-    )
-    elapsed = time.perf_counter() - started
-    if args.sort_by_age:
-        converted = corpus.sort_by_age(converted)
-    payload = summary.to_json()
-    payload["skipped_rows"] = len(row_errors)
-    payload["seconds"] = round(elapsed, 3)
+    _refuse_file_at(args.input, "--output", args.output)
+    _refuse_file_at(args.input, "--summary", summary_path)
+    _refuse_file_at(args.output, "--summary", summary_path, "the --output file")
     with atomic_paths(args.output, summary_path) as (output_temp, summary_temp):
+        row_errors: list = []
+        records = list(corpus.read_corpus(args.input, args.schema, args.child_role, row_errors))
+        started = time.perf_counter()
+        converted, summary = corpus.convert_corpus(
+            records,
+            backend,
+            fold_map=fold_map,
+            keep_word_boundaries=args.keep_word_boundaries,
+            uncorrected=args.uncorrected,
+            workers=args.workers,
+        )
+        elapsed = time.perf_counter() - started
+        if args.sort_by_age:
+            converted = corpus.sort_by_age(converted)
+        payload = summary.to_json()
+        payload["skipped_rows"] = len(row_errors)
+        payload["seconds"] = round(elapsed, 3)
         corpus.write_corpus(converted, output_temp, schema=args.schema)
         with open_text(summary_temp, "w") as handle:
             json.dump(payload, handle, ensure_ascii=False, indent=2)
@@ -294,15 +294,17 @@ def cmd_stats(args) -> int:
 def cmd_info(args) -> int:
     if args.sample_size is not None and args.sample_size < 1:
         raise ConfigError("sample-size must be >= 1")
-    with open_text(args.input) as handle:
-        _check_phonemized(args.input, next(csv.reader(handle), None))
-    records = corpus.read_corpus(args.input, args.schema, args.child_role)
-    records = [r for r in records if not r.is_child]
-    points = analysis.info_by_age(
-        records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed
-    )
     sink = sys.stdout if args.output in (None, "-") else args.output
-    with open_text(sink, "w") as out_handle:
+    if sink is not sys.stdout:
+        _refuse_file_at(args.input, "--output", sink)
+    with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
+        with open_text(args.input) as handle:
+            _check_phonemized(args.input, next(csv.reader(handle), None))
+        records = corpus.read_corpus(args.input, args.schema, args.child_role)
+        records = [r for r in records if not r.is_child]
+        points = analysis.info_by_age(
+            records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed
+        )
         for row in analysis.curve_rows(points):
             print(",".join(str(v) for v in row), file=out_handle)
     return 0

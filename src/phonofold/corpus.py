@@ -95,8 +95,8 @@ def read_corpus(
     Unmapped columns land in ``extra`` in header order; previously written
     phonemized/is_child/errors columns are recognized and re-read. Rows that
     cannot be read (a cell count unlike the header's, a cell longer than
-    ``csv.field_size_limit``) are skipped and appended to ``row_errors`` as
-    (line_number, message) when a list is supplied.
+    ``csv.field_size_limit``, with every line of that cell) are skipped and
+    appended to ``row_errors`` as (line_number, message) when a list is supplied.
     """
     with open_text(source) as handle:
         yield from _read(handle, getattr(handle, "name", "<file>"), schema, child_role, row_errors)
@@ -106,7 +106,8 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if "gloss" not in schema:
         raise FormatError("schema must map the gloss column", source=name)
-    reader = csv.DictReader(handle)
+    quotes = [0]
+    reader = csv.DictReader(_counting_quotes(handle, quotes))
     if reader.fieldnames is None:
         raise FormatError("empty corpus file", source=name)
     columns = [c for c in reader.fieldnames if c is not None]
@@ -115,7 +116,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
         raise FormatError("missing column(s) " + ", ".join(repr(c) for c in missing), source=name)
     mapped = set(schema.values()) | set(OUTPUT_COLUMNS)
 
-    for row in _rows(reader, row_errors):
+    for row in _rows(reader, quotes, row_errors):
         def cell(key: str) -> str:
             col = schema.get(key)
             return row[col] if col is not None else ""
@@ -142,22 +143,41 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
         )
 
 
-def _rows(reader: csv.DictReader, row_errors) -> Iterator[dict]:
-    """The reader's rows that match its header; any other row is skipped and recorded."""
+def _counting_quotes(lines, quotes: list) -> Iterator[str]:
+    """The lines, each adding its number of quote characters to ``quotes[0]`` as it is read."""
+    for line in lines:
+        quotes[0] += line.count('"')
+        yield line
+
+
+def _rows(reader: csv.DictReader, quotes: list, row_errors) -> Iterator[dict]:
+    """The reader's rows that match its header; any other row is skipped and recorded.
+
+    A row the csv module gives up on, on lines with an odd count of quotes (``quotes[0]``
+    counts them), stopped inside a quoted cell: the lines up to the cell's end go with it.
+    """
     while True:
+        start = quotes[0]
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:  # a cell longer than csv.field_size_limit, say
-            problem = str(exc)
+            problem, line_num = str(exc), reader.reader.line_num
+            while (quotes[0] - start) % 2:
+                try:
+                    next(reader)
+                except StopIteration:
+                    break
+                except csv.Error:
+                    pass
         else:
             if None not in row and not any(value is None for value in row.values()):
                 yield row
                 continue
-            problem = "row does not match header"
+            problem, line_num = "row does not match header", reader.reader.line_num
         if row_errors is not None:  # the csv reader's count: DictReader's lags on an error
-            row_errors.append((reader.reader.line_num, problem))
+            row_errors.append((line_num, problem))
 
 
 @dataclass

@@ -30,7 +30,7 @@ import unicodedata
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 WORD_BOUNDARY = "WORD_BOUNDARY"
 UTT_BOUNDARY = "UTT_BOUNDARY"
@@ -66,9 +66,6 @@ class IpaSegment(str):
         if normalized in (WORD_BOUNDARY, UTT_BOUNDARY):
             raise ValueError(f"{text!r} is a reserved boundary literal")
         return super().__new__(cls, normalized)
-
-    def __repr__(self) -> str:
-        return f"IpaSegment({str.__repr__(self)})"
 
 
 def open_text(source, mode: str = "r"):
@@ -106,22 +103,17 @@ def read_text(path) -> str:
 
 
 @contextlib.contextmanager
-def atomic_paths(*paths):
-    """Paths to write instead of ``paths``, each moved onto its own once the block succeeds.
+def atomic_paths(*targets):
+    """Stand-ins to write instead of ``targets``, each moved onto its own once the block succeeds.
 
-    Each stand-in is a new file beside the file it replaces (beside a symlink's
-    target), and it is removed if the block or a move fails. A path that exists
-    and is not a regular file, such as /dev/stdout, is its own stand-in.
+    Each stand-in is a new file made on entry beside the file it replaces (beside a symlink's
+    target), so an unwritable target is a ConfigError before any work; it is removed if the
+    block or a move fails. An open handle, or a device such as /dev/stdout, is its own stand-in.
     """
     moves = []
-    for path in paths:
-        if os.path.exists(path) and not os.path.isfile(path):
-            moves.append((path, path))
-            continue
-        target = os.path.realpath(path)
-        head, name = os.path.split(target)
-        moves.append((os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp"), target))
     try:
+        for target in targets:
+            moves.append((target, target) if hasattr(target, "write") else _stand_in(target))
         yield [temp for temp, _ in moves]
         for temp, target in moves:
             if temp != target:
@@ -130,6 +122,20 @@ def atomic_paths(*paths):
         for temp, target in moves:
             if temp != target and os.path.lexists(temp):
                 os.remove(temp)
+
+
+def _stand_in(path) -> tuple:
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        return path, path
+    head, name = os.path.split(os.path.realpath(path))
+    temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    return temp, os.path.join(head, name)
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -483,6 +483,27 @@ class TestCorpus:
         assert "rows" not in err  # nothing was converted
         assert not (tmp_path / "out.csv").exists() and not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize(
+        "output, summary, message",
+        [
+            ("o.csv", "o.csv", "--summary {dir}/o.csv is the --output file"),
+            ("in.csv", "s.json", "--output {dir}/in.csv is the input file"),
+            ("o.csv", "in.csv", "--summary {dir}/in.csv is the input file"),
+        ],
+        ids=["summary-is-output", "output-is-input", "summary-is-input"],
+    )
+    def test_writing_a_file_it_reads_or_writes_exits_two(
+        self, fixtures, tmp_path, output, summary, message
+    ):
+        original = (fixtures / "corpus_small.csv").read_bytes()
+        (tmp_path / "in.csv").write_bytes(original)
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected", "--input"]
+        argv += [str(tmp_path / "in.csv"), "--output", str(tmp_path / output)]
+        proc = popen_cli(*argv, "--summary", str(tmp_path / summary))
+        assert_clean_error(proc, message.format(dir=tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+        assert (tmp_path / "in.csv").read_bytes() == original
+
     def test_reserved_literal_in_post_rule_exits_two(self, fixtures, tmp_path):
         rules = tmp_path / "bad.rules"
         rules.write_text("map:\nc -> k\npost:\nk -> WORD_BOUNDARY\n", encoding="utf-8")
@@ -570,6 +591,14 @@ class TestStatsAndInfo:
         assert_clean_error(
             popen_cli("info", source), source, "no phonemized column to read segments from"
         )
+
+    def test_info_output_onto_its_input_exits_two(self, tmp_path):
+        source = curve_corpus(tmp_path)
+        original = source.read_bytes()
+        proc = popen_cli("info", str(source), "-o", str(source))
+        assert_clean_error(proc, f"--output {source} is the input file")
+        assert [p.name for p in tmp_path.iterdir()] == [source.name]
+        assert source.read_bytes() == original
 
     def test_info_two_buckets(self, capsys, tmp_path):
         corpus_csv = tmp_path / "converted.csv"
@@ -703,15 +732,34 @@ class TestUserFileErrors:
         argv = [arg.format(missing=missing, inventory=inventory_csv) for arg in command]
         assert_clean_error(popen_cli(*argv), "No such file", missing)
 
-    @pytest.mark.parametrize("command", ["convert", "info"])
-    def test_unwritable_output_exits_two(self, command, fixtures, tmp_path):
-        target = str(tmp_path / "missing" / "x.txt")
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing-dir", "No such file"), ("directory", "Is a directory")],
+        ids=["missing-dir", "directory"],
+    )
+    @pytest.mark.parametrize("command", ["convert", "info", "corpus"])
+    def test_unwritable_output_exits_two(self, command, where, reason, fixtures, tmp_path):
+        """Before any work: one error line, and no stand-in beside the target."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        target = out_dir / "x.txt"
+        if where == "missing-dir":
+            target = out_dir / "missing" / "x.txt"
+        else:
+            target.mkdir()
         if command == "convert":
             argv = ["convert", "--backend", "passthrough", "--uncorrected"]
-            argv += ["--output", target, str(fixtures / "french_backend_output.txt")]
+            argv += ["--output", str(target), str(fixtures / "french_backend_output.txt")]
+        elif command == "info":
+            argv = ["info", "--output", str(target), str(curve_corpus(tmp_path))]
         else:
-            argv = ["info", "--output", target, str(curve_corpus(tmp_path))]
-        assert_clean_error(popen_cli(*argv), "No such file", target)
+            argv = ["corpus", "--backend", "passthrough", "--uncorrected", "--output"]
+            argv += [str(target), "--input", str(fixtures / "corpus_small.csv")]
+            argv += ["--summary", str(tmp_path / "s.json")]
+        assert_clean_error(popen_cli(*argv), f"error: cannot write {target}: {reason}")
+        assert [p.name for p in out_dir.iterdir()] == ([] if where == "missing-dir" else ["x.txt"])
+        assert not (tmp_path / "s.json").exists()
+        assert target.is_dir() == (where == "directory")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["convert", "info", "stats"])
@@ -757,6 +805,18 @@ class TestUserFileErrors:
         inventory = ["--inventory", str(fixtures / "toy_inventories.csv"), "--inventory-id", "9001"]
         proc = popen_cli("validate", *flags, *inventory, str(observed))
         assert_clean_error(proc, str(observed), "surrogate")
+
+    def test_duplicate_inventory_segment_is_quoted_as_text(self, fixtures, tmp_path):
+        inventory_csv = tmp_path / "inventories.csv"
+        inventory_csv.write_text(
+            "InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass\n"
+            "1,Toy,qaa,a,vowel\n"
+            "1,Toy,qaa,a,vowel\n",
+            encoding="utf-8",
+        )
+        observed = str(fixtures / "french_backend_output.txt")
+        proc = popen_cli("match", "--inventory", str(inventory_csv), observed)
+        assert_clean_error(proc, f"{inventory_csv}: line 3: duplicate segment 'a' in inventory 1")
 
 
 class TestUndecodableFiles:
@@ -812,6 +872,23 @@ class TestUndecodableFiles:
         }
         argv = [arg.format(**values) for arg in command]
         assert_clean_error(popen_cli(*argv), str(bad), "not UTF-8")
+
+    @pytest.mark.parametrize("command", ["convert", "info"])
+    def test_failed_run_keeps_the_old_output(self, command, tmp_path):
+        bad = tmp_path / "bad.csv"
+        if command == "convert":
+            bad.write_bytes(b"a b\n" * 3000 + b"\xff\n")
+            argv = ["convert", "--backend", "passthrough", "--uncorrected", str(bad)]
+        else:
+            header = b"id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,"
+            rows = b"".join(b"u%d,t,c,col,MOT,6,x,a b\n" % i for i in range(3000))
+            bad.write_bytes(header + b"gloss,phonemized\n" + rows + b"u,t,c,col,MOT,6,x,\xff\n")
+            argv = ["info", str(bad)]
+        output = tmp_path / "out.txt"
+        output.write_text("old\n", encoding="utf-8")
+        assert_clean_error(popen_cli(*argv, "--output", str(output)), str(bad), "not UTF-8")
+        assert output.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "out.txt"]
 
 
 @pytest.mark.parametrize(
@@ -983,6 +1060,20 @@ def with_oversized_cell(source: Path, target: Path, cell: int) -> Path:
     return target
 
 
+def with_quoted_oversized_cell(source: Path, target: Path, cell: int) -> Path:
+    """A copy of a CSV whose first data row opens a quoted cell longer than csv.field_size_limit.
+
+    The cell closes at the end of the next line: a copy of that row with the id
+    ``planted``, which reads as a row of its own unless the cell's lines are skipped.
+    """
+    lines = source.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    opened = cells[:cell] + ['"' + "x" * (csv.field_size_limit() + 10)]
+    lines[1] = ",".join(opened) + "\n" + ",".join(["planted", *cells[1:]]) + '"'
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
 class TestOversizedCsvCell:
     """A CSV cell past csv.field_size_limit skips its row in a corpus, else is one error line."""
 
@@ -998,6 +1089,24 @@ class TestOversizedCsvCell:
 
     def test_info_input_row_skipped(self, tmp_path):
         source = with_oversized_cell(curve_corpus(tmp_path), tmp_path / "in.csv", 7)
+        proc = popen_cli("info", str(source))
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and "Traceback" not in err, err
+        assert out.splitlines()[1].endswith(",29")
+
+    def test_corpus_skips_every_line_of_a_quoted_cell(self, fixtures, tmp_path):
+        source = with_quoted_oversized_cell(fixtures / "corpus_small.csv", tmp_path / "in.csv", 6)
+        out = tmp_path / "out.csv"
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected"]
+        proc = popen_cli(*argv, "--input", str(source), "--output", str(out))
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and "Traceback" not in err, err
+        summary = json.loads(Path(f"{out}.summary.json").read_text(encoding="utf-8"))
+        assert (summary["rows"], summary["skipped_rows"]) == (2, 1)
+        assert "planted" not in out.read_text(encoding="utf-8")
+
+    def test_info_skips_every_line_of_a_quoted_cell(self, tmp_path):
+        source = with_quoted_oversized_cell(curve_corpus(tmp_path), tmp_path / "in.csv", 7)
         proc = popen_cli("info", str(source))
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0 and "Traceback" not in err, err

@@ -93,6 +93,17 @@ class TestReadCorpus:
         assert [r.utterance_id for r in records] == ["u2"]
         assert len(errors) == 1
 
+    @pytest.mark.parametrize("middle", [[], ["x", 'x "" x']], ids=["two-lines", "four-lines"])
+    def test_oversized_quoted_cell_is_skipped_with_all_its_lines(self, middle):
+        header = ",".join(DEFAULT_SCHEMA.values())
+        cell = '"' + "x" * (csv.field_size_limit() + 10)
+        lines = [header, "1,t,c,col,MOT,18," + cell, *middle, '2,t,c,col,MOT,18,planted"']
+        text = "\n".join(lines + ["3,t,c,col,MOT,18,kept", ""])
+        errors = []
+        records = list(read_corpus(io.StringIO(text), row_errors=errors))
+        assert [(r.utterance_id, r.gloss) for r in records] == [("3", "kept")]
+        assert errors == [(2, f"field larger than field limit ({csv.field_size_limit()})")]
+
     def test_quoted_gloss_with_comma(self, fixtures):
         assert read_small(fixtures)[2].gloss == "cha , cha"
 
