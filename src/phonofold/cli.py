@@ -155,10 +155,11 @@ def _load_inventories(args) -> list[inventory.Inventory]:
     return inventories
 
 
-def _check_phonemized(path, header) -> None:
-    """Raise unless a CSV header (None for an empty file) names the phonemized column."""
+def _check_phonemized(path, header) -> int:
+    """The index of a CSV header's last phonemized column; a ConfigError if none (or no header)."""
     if header is None or corpus.PHONEMIZED not in header:
         raise ConfigError(f"{path}: no phonemized column to read segments from")
+    return {column: i for i, column in enumerate(header)}[corpus.PHONEMIZED]
 
 
 def _input_streams(path: str):
@@ -166,9 +167,9 @@ def _input_streams(path: str):
     with open_text(path) as handle:
         lines = handle
         if Path(path).suffix.lower() == ".csv":
-            reader = csv.DictReader(handle)
-            _check_phonemized(path, reader.fieldnames)
-            lines = (row[corpus.PHONEMIZED] or "" for row in reader)
+            reader = csv.reader(handle)
+            at = _check_phonemized(path, next(reader, None))
+            lines = (row[at] if at < len(row) else "" for row in reader)
         yield from map(parse_stream, lines)
 
 

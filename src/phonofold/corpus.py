@@ -15,6 +15,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import FormatError, PhonofoldError
@@ -39,6 +40,9 @@ PHONEMIZED = "phonemized"
 OUTPUT_COLUMNS = (PHONEMIZED, "is_child", "errors")
 CHILD_ROLE = "CHI"  # the speaker role that marks a child's row when no is_child column does
 
+# The text of a CSV row that ends inside a quoted cell, by the csv module's rule: a quote
+# opens a cell only at its start, and within the cell "" is one literal quote.
+_IN_QUOTED_CELL = re.compile(r'(?:(?:"(?:[^"]|"")*+"[^,]*|[^",][^,]*|),)*+"(?:[^"]|"")*+', re.S)
 _AGE_RE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 
@@ -90,13 +94,13 @@ def read_corpus(
     child_role: str = CHILD_ROLE,
     row_errors: list | None = None,
 ) -> Iterator[UtteranceRecord]:
-    """Yield records from a corpus CSV in file order.
+    """Yield records from a corpus CSV in file order; blank lines are skipped.
 
-    Unmapped columns land in ``extra`` in header order; previously written
-    phonemized/is_child/errors columns are recognized and re-read. Rows that
-    cannot be read (a cell count unlike the header's, a cell longer than
-    ``csv.field_size_limit``, with every line of that cell) are skipped and
-    appended to ``row_errors`` as (line_number, message) when a list is supplied.
+    Cells are read by position: of two columns with one name, the last. Unmapped
+    columns land in ``extra`` in header order; written phonemized/is_child/errors
+    columns are re-read. Rows that cannot be read (a cell count unlike the header's,
+    a cell longer than ``csv.field_size_limit``, with every line of that cell) are
+    skipped and appended to ``row_errors`` as (line_number, message) if it is a list.
     """
     with open_text(source) as handle:
         yield from _read(handle, getattr(handle, "name", "<file>"), schema, child_role, row_errors)
@@ -106,77 +110,68 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if "gloss" not in schema:
         raise FormatError("schema must map the gloss column", source=name)
-    quotes = [0]
-    reader = csv.DictReader(_counting_quotes(handle, quotes))
-    if reader.fieldnames is None:
+    held: list = []
+    lines = (held.append(line) or line for line in handle)  # each line held as it is read
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
         raise FormatError("empty corpus file", source=name)
-    columns = [c for c in reader.fieldnames if c is not None]
-    missing = [source_col for source_col in schema.values() if source_col not in columns]
+    width = len(header)
+    at = {column: i for i, column in enumerate(header)}  # a repeated name: its last position
+    missing = [source_col for source_col in schema.values() if source_col not in at]
     if missing:
         raise FormatError("missing column(s) " + ", ".join(repr(c) for c in missing), source=name)
+    fields = itemgetter(*(at[schema[key]] if key in schema else width for key in DEFAULT_SCHEMA))
+    phonemized_at, child_at = at.get(PHONEMIZED), at.get("is_child")
+    errors_at = at.get("errors", width)
     mapped = set(schema.values()) | set(OUTPUT_COLUMNS)
+    extra = [(column, i) for column, i in at.items() if column not in mapped]
 
-    for row in _rows(reader, quotes, row_errors):
-        def cell(key: str) -> str:
-            col = schema.get(key)
-            return row[col] if col is not None else ""
-
-        age_text = cell("target_child_age")
-        speaker_role = cell("speaker_role")
+    age_text, age = None, None
+    for row in _rows(reader, lines, held, width, row_errors):
+        row.append("")  # at position width: the cell of an unmapped field
+        utterance_id, transcript_id, corpus_id, collection_id, role, age_cell, gloss = fields(row)
+        if age_cell != age_text:  # ages repeat within a transcript: parse each run once
+            age_text, age = age_cell, _age_from_cell(age_cell)
         yield UtteranceRecord(
-            utterance_id=cell("utterance_id"),
-            transcript_id=cell("transcript_id"),
-            corpus_id=cell("corpus_id"),
-            collection_id=cell("collection_id"),
-            speaker_role=speaker_role,
-            target_child_age=_age_from_cell(age_text),
-            age_text=age_text,
-            gloss=cell("gloss"),
-            phonemized=row.get(PHONEMIZED),
-            is_child=(
-                is_true(row["is_child"])
-                if "is_child" in row
-                else speaker_role == child_role
-            ),
-            error=row.get("errors", ""),
-            extra={k: v for k, v in row.items() if k not in mapped},
+            utterance_id, transcript_id, corpus_id, collection_id, role, age, age_text, gloss,
+            None if phonemized_at is None else row[phonemized_at],
+            role == child_role if child_at is None else is_true(row[child_at]),
+            row[errors_at],
+            {column: row[i] for column, i in extra},
         )
 
 
-def _counting_quotes(lines, quotes: list) -> Iterator[str]:
-    """The lines, each adding its number of quote characters to ``quotes[0]`` as it is read."""
-    for line in lines:
-        quotes[0] += line.count('"')
-        yield line
+def _rows(reader, lines, held: list, width: int, row_errors) -> Iterator[list]:
+    """The reader's rows with ``width`` cells; a blank line is skipped, any other row recorded.
 
-
-def _rows(reader: csv.DictReader, quotes: list, row_errors) -> Iterator[dict]:
-    """The reader's rows that match its header; any other row is skipped and recorded.
-
-    A row the csv module gives up on, on lines with an odd count of quotes (``quotes[0]``
-    counts them), stopped inside a quoted cell: the lines up to the cell's end go with it.
+    ``held`` collects the lines the reader reads. A row the csv module gives up on inside
+    a quoted cell takes the lines up to the cell's end with it, read from ``lines``.
     """
+    past = 0  # lines read past the reader, for the line numbers of later rows
     while True:
-        start = quotes[0]
+        held.clear()
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:  # a cell longer than csv.field_size_limit, say
-            problem, line_num = str(exc), reader.reader.line_num
-            while (quotes[0] - start) % 2:
-                try:
-                    next(reader)
-                except StopIteration:
+            problem, line_num = str(exc), reader.line_num + past
+            text = "".join(held)
+            while _IN_QUOTED_CELL.fullmatch(text):
+                line = next(lines, None)
+                if line is None:
                     break
-                except csv.Error:
-                    pass
+                past += 1
+                text = '"' + line  # the line as read from inside the cell
         else:
-            if None not in row and not any(value is None for value in row.values()):
+            if len(row) == width:
                 yield row
                 continue
-            problem, line_num = "row does not match header", reader.reader.line_num
-        if row_errors is not None:  # the csv reader's count: DictReader's lags on an error
+            if not row:
+                continue
+            problem, line_num = "row does not match header", reader.line_num + past
+        if row_errors is not None:
             row_errors.append((line_num, problem))
 
 

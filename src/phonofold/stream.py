@@ -3,12 +3,13 @@
 A stream is a checked tuple of tokens: IPA segments (one phoneme each,
 possibly several characters) and reserved word/utterance boundary markers.
 A word boundary never comes first, never follows another boundary and never
-precedes an utterance boundary. The text form is a single line of
-space-separated tokens, with the literals WORD_BOUNDARY and UTT_BOUNDARY
-marking boundaries. ``repair_tokens`` is the package's builder: it drops each
-word boundary that breaks a rule as it builds, so a stream is checked once,
-where it enters the system. ``PhonemeStream(tokens)`` is the public door: it
-builds through ``repair_tokens`` and rejects rather than repairs.
+precedes an utterance boundary, and no utterance boundary follows another.
+The text form is a single line of space-separated tokens, with the literals
+WORD_BOUNDARY and UTT_BOUNDARY marking boundaries. ``repair_tokens`` is the
+package's builder: it drops each boundary that breaks a rule as it builds,
+so a stream is checked once, where it enters the system.
+``PhonemeStream(tokens)`` is the public door: it builds through
+``repair_tokens`` and rejects rather than repairs.
 
 Token text becomes a token through ``coerce_token`` and one module-level
 intern table, text -> finished token, seeded with the two boundary literals.
@@ -179,9 +180,9 @@ def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[I
 
 
 def repair_tokens(tokens: Iterable) -> PhonemeStream:
-    """The tokens, each coerced, as a stream with redundant word boundaries dropped.
+    """The tokens, each coerced, as a stream with redundant boundaries dropped.
 
-    Runs of WordBoundary collapse to one, a WordBoundary next to an
+    Runs of each boundary collapse to one, a WordBoundary next to an
     UttBoundary (either side) is dropped, since the utterance boundary
     subsumes it, and so is a WordBoundary with nothing before it. The
     adjacency invariants so hold by construction and are not checked again.
@@ -192,8 +193,11 @@ def repair_tokens(tokens: Iterable) -> PhonemeStream:
         if token is word:
             if not out or isinstance(out[-1], Boundary):
                 continue  # leading, or redundant next to another boundary
-        elif token is utt and out and out[-1] is word:
-            out.pop()
+        elif token is utt and out:
+            if out[-1] is utt:
+                continue
+            if out[-1] is word:
+                out.pop()
         out.append(token)
     return tuple.__new__(PhonemeStream, out)
 
@@ -202,10 +206,10 @@ class PhonemeStream(tuple):
     """A checked tuple of stream tokens.
 
     ``PhonemeStream(tokens)`` is ``repair_tokens(tokens)``, except that it
-    raises ValueError where the repair would drop a word boundary: a leading
-    one, one after another boundary, or one before an utterance boundary.
-    Inside the package ``repair_tokens`` builds every stream. A stream equals
-    and hashes as the plain tuple of its tokens.
+    raises ValueError where the repair would drop a boundary: a leading word
+    boundary, a word boundary next to another boundary, or a second utterance
+    boundary in a row. Inside the package ``repair_tokens`` builds every
+    stream. A stream equals and hashes as the plain tuple of its tokens.
     """
 
     __slots__ = ()
@@ -214,7 +218,7 @@ class PhonemeStream(tuple):
         tokens = list(tokens)
         stream = repair_tokens(tokens)
         if len(stream) != len(tokens):
-            raise ValueError("word boundary first, after a boundary or before UTT_BOUNDARY")
+            raise ValueError("word boundary first or next to a boundary, or UTT_BOUNDARY twice")
         return stream
 
     @property
@@ -230,7 +234,7 @@ def parse_stream(text: str) -> PhonemeStream:
 
     Whitespace runs collapse to single separators; boundary literals become
     boundary tokens; adjacency violations are repaired by dropping redundant
-    word boundaries. Total on text lines: an empty line is an empty stream.
+    boundaries. Total on text lines: an empty line is an empty stream.
     """
     return repair_tokens(text.split())
 

@@ -4,12 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import phonofold
+from phonofold import cli
 from phonofold.cli import OPTIONS, build_parser, main
+from phonofold.stream import open_text, parse_stream
 
 SRC = Path(phonofold.__file__).resolve().parents[1]
 
@@ -616,6 +623,52 @@ class TestStatsAndInfo:
         # child-produced u3 is excluded; both buckets hold one 2-bit utterance
         assert lines[1] == "0,2.0,1"
         assert lines[2] == "1,2.0,1"
+
+
+def dict_reader_streams(path):
+    """The streams of a file, each phonemized cell of a CSV read by name through csv.DictReader."""
+    with open_text(path) as handle:
+        lines = handle
+        if Path(path).suffix.lower() == ".csv":
+            reader = csv.DictReader(handle)
+            cli._check_phonemized(path, reader.fieldnames)
+            lines = (row["phonemized"] or "" for row in reader)
+        yield from map(parse_stream, lines)
+
+
+def stats_of(path, *flags):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["stats", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def phonemized_csvs(draw):
+    """CSV text: phonemized columns repeated or missing, rows of any width, blank lines."""
+    header = draw(st.lists(st.sampled_from(["phonemized", "gloss", "x", ""]), max_size=4))
+    cells = st.sampled_from(["a b a", "", "ʃ WORD_BOUNDARY a", "b UTT_BOUNDARY a", "a\nb", "a, b"])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    if draw(st.booleans()):
+        writer.writerow(header)
+    for row in draw(st.lists(st.lists(cells, max_size=len(header) + 1), max_size=6)):
+        if row:
+            writer.writerow(row)
+        else:
+            buffer.write(draw(st.sampled_from(["\r\n", "\n"])))
+    return buffer.getvalue()
+
+
+@given(phonemized_csvs(), st.sampled_from([[], ["--json"]]))
+@example("x,phonemized,phonemized\n1,a,b\n\n2\n3,a a,b b,c c\n", [])
+def test_stats_reads_a_csv_as_the_dict_reader_did(text, flags):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "streams.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = stats_of(path, *flags)
+        with mock.patch.object(cli, "_input_streams", dict_reader_streams):
+            assert got == stats_of(path, *flags)
 
 
 class TestCheckMapAndSuggest:

@@ -1,8 +1,11 @@
 import csv
 import io
 import os
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from phonofold import corpus
 
@@ -104,6 +107,27 @@ class TestReadCorpus:
         assert [(r.utterance_id, r.gloss) for r in records] == [("3", "kept")]
         assert errors == [(2, f"field larger than field limit ({csv.field_size_limit()})")]
 
+    @pytest.mark.parametrize(
+        "cell, rest",
+        [
+            ('5" tall ', []),
+            ('"5"" tall ', ['x ""still"" in, "" x', 'out", "x" , a"']),
+            ('"x', ['"']),
+        ],
+        ids=["unquoted", "quoted", "quote-alone"],
+    )
+    def test_a_quote_in_an_oversized_cell_follows_the_csv_rule(self, cell, rest):
+        """A quote opens a cell only at the cell's start: elsewhere it is a literal."""
+        header = ",".join(DEFAULT_SCHEMA.values())
+        oversized = "1,t,c,col,MOT,18," + cell + "x" * (csv.field_size_limit() + 10)
+        good = ["2,t,c,col,MOT,18,kept", '3,t,c,col,MOT,18,"also, kept"', "4,t,c,col,MOT,short"]
+        text = "\n".join([header, oversized, *rest, *good, ""])
+        errors = []
+        records = list(read_corpus(io.StringIO(text), row_errors=errors))
+        assert [(r.utterance_id, r.gloss) for r in records] == [("2", "kept"), ("3", "also, kept")]
+        limit = f"field larger than field limit ({csv.field_size_limit()})"
+        assert errors == [(2, limit), (5 + len(rest), "row does not match header")]
+
     def test_quoted_gloss_with_comma(self, fixtures):
         assert read_small(fixtures)[2].gloss == "cha , cha"
 
@@ -113,6 +137,144 @@ class TestReadCorpus:
         rows = "".join(f"u{i},t,c,col,MOT,18,hi,{cell}\n" for i, cell in enumerate(cells))
         records = read_corpus(io.StringIO(header + "\n" + rows))
         assert [r.is_child for r in records] == [True, True, True, True, False, False, False]
+
+
+# --- the positional reader against the DictReader one it replaced ---------
+
+
+def dict_reader_records(text, schema=None, child_role="CHI"):
+    """(records, row_errors) of a corpus CSV, read through csv.DictReader by column name."""
+    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
+    quotes, row_errors = [0], []
+    reader = csv.DictReader(counting_quotes(io.StringIO(text, newline=""), quotes))
+    if reader.fieldnames is None:
+        raise FormatError("empty corpus file", source="<file>")
+    columns = [c for c in reader.fieldnames if c is not None]
+    missing = [source_col for source_col in schema.values() if source_col not in columns]
+    if missing:
+        message = "missing column(s) " + ", ".join(repr(c) for c in missing)
+        raise FormatError(message, source="<file>")
+    mapped = set(schema.values()) | set(corpus.OUTPUT_COLUMNS)
+    records = []
+    for row in dict_rows(reader, quotes, row_errors):
+        def cell(key):
+            col = schema.get(key)
+            return row[col] if col is not None else ""
+
+        age_text, speaker_role = cell("target_child_age"), cell("speaker_role")
+        records.append(
+            UtteranceRecord(
+                utterance_id=cell("utterance_id"),
+                transcript_id=cell("transcript_id"),
+                corpus_id=cell("corpus_id"),
+                collection_id=cell("collection_id"),
+                speaker_role=speaker_role,
+                target_child_age=corpus._age_from_cell(age_text),
+                age_text=age_text,
+                gloss=cell("gloss"),
+                phonemized=row.get("phonemized"),
+                is_child=(
+                    corpus.is_true(row["is_child"])
+                    if "is_child" in row
+                    else speaker_role == child_role
+                ),
+                error=row.get("errors", ""),
+                extra={k: v for k, v in row.items() if k not in mapped},
+            )
+        )
+    return records, row_errors
+
+
+def counting_quotes(lines, quotes):
+    for line in lines:
+        quotes[0] += line.count('"')
+        yield line
+
+
+def dict_rows(reader, quotes, row_errors):
+    while True:
+        start = quotes[0]
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            problem, line_num = str(exc), reader.reader.line_num
+            while (quotes[0] - start) % 2:
+                try:
+                    next(reader)
+                except StopIteration:
+                    break
+                except csv.Error:
+                    pass
+        else:
+            if None not in row and not any(value is None for value in row.values()):
+                yield row
+                continue
+            problem, line_num = "row does not match header", reader.reader.line_num
+        row_errors.append((line_num, problem))
+
+
+AGE_CELLS = ["18", "1;06.00", " 2;03 ", "", "-3", "x;y", "1.5", "inf", "0;00"]
+CELL_TEXT = st.text(alphabet='ab ,"\nxʃ', max_size=6)
+CUSTOM_SCHEMAS = [
+    None,
+    {"gloss": "text", "speaker_role": "who", "target_child_age": "age"},
+    {"gloss": "text", "utterance_id": "text", "corpus_id": "extra"},
+]
+
+
+@st.composite
+def corpus_csvs(draw):
+    """(csv text, schema): headers with repeated and written-back columns, rows of any width."""
+    schema = draw(st.sampled_from(CUSTOM_SCHEMAS))
+    names = list(dict.fromkeys((schema or DEFAULT_SCHEMA).values()))
+    pool = names + ["phonemized", "is_child", "errors", "extra", "who", "age", "text", ""]
+    header = draw(st.permutations(names)) + draw(st.lists(st.sampled_from(pool), max_size=5))
+    header = draw(st.permutations(header))
+    role_cells = st.sampled_from(["CHI", "MOT", "chi", "true", ""])
+    width = len(header)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):  # runs of one age cell
+        age = draw(st.sampled_from(AGE_CELLS))
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["row"] * 4 + ["blank", "short", "long"]))
+            if kind == "blank":
+                lines.append([])
+                continue
+            cells = [draw(st.one_of(CELL_TEXT, role_cells)) for _ in header]
+            for i, column in enumerate(header):
+                if column in ("target_child_age", "age"):
+                    cells[i] = age
+            n = {"row": width, "short": draw(st.integers(0, width - 1))}.get(kind, width + 1)
+            lines.append((cells + ["spare"])[:n])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    for line in lines:
+        if line:
+            writer.writerow(line)
+        else:
+            buffer.write(draw(st.sampled_from(["\r\n", "\n"])))
+    return buffer.getvalue(), schema
+
+
+@given(corpus_csvs(), st.sampled_from(["CHI", "MOT"]))
+@example(("id,gloss,x,gloss,id\n1,a,b,c,2\n\n3,c\n4,d,e,f,5,6\n", {"gloss": "gloss"}), "CHI")
+@example(("\n", None), "CHI")
+@example(("", None), "CHI")
+def test_positional_reader_equals_the_dict_reader(case, child_role):
+    text, schema = case
+    try:
+        expected = dict_reader_records(text, schema, child_role)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=re.escape(str(exc))):
+            list(read_corpus(io.StringIO(text, newline=""), schema, child_role))
+        return
+    row_errors = []
+    records = list(read_corpus(io.StringIO(text, newline=""), schema, child_role, row_errors))
+    assert [vars(r) for r in records] == [vars(r) for r in expected[0]]
+    assert [list(r.extra) for r in records] == [list(r.extra) for r in expected[0]]
+    assert row_errors == expected[1]
 
 
 class TestConvertCorpus:

@@ -92,6 +92,12 @@ class TestParseStream:
         assert parse_stream("a WORD_BOUNDARY UTT_BOUNDARY b") == PhonemeStream(["a", U, "b"])
         assert parse_stream("a UTT_BOUNDARY WORD_BOUNDARY b") == PhonemeStream(["a", U, "b"])
 
+    def test_adjacent_utt_boundaries_repaired(self):
+        stream = parse_stream("a UTT_BOUNDARY UTT_BOUNDARY b")
+        assert stream.tokens == (seg("a"), U, seg("b"))
+        stream = parse_stream("UTT_BOUNDARY UTT_BOUNDARY WORD_BOUNDARY UTT_BOUNDARY a")
+        assert stream.tokens == (U, seg("a"))
+
     def test_whitespace_runs_collapse(self):
         assert parse_stream("  a   b  ") == PhonemeStream(["a", "b"])
 
@@ -100,6 +106,12 @@ class TestParseStream:
             PhonemeStream(["a", W, W, "b"])
         with pytest.raises(ValueError):
             PhonemeStream(["a", W, U])
+
+    @pytest.mark.parametrize("tokens", [["a", U, U], [U, U, "a"], ["a", U, U, "b"]])
+    def test_constructor_rejects_a_run_of_utt_boundaries(self, tokens):
+        """Emission drops one trailing boundary, so a second would not round-trip."""
+        with pytest.raises(ValueError, match="UTT_BOUNDARY twice"):
+            PhonemeStream(tokens)
 
 
 class TestEmitStream:
@@ -255,7 +267,7 @@ def uncached(text):
 
 
 def repair_oracle(tokens):
-    """Coerce every token, then drop redundant word boundaries: two passes, not one."""
+    """Coerce every token, then drop redundant boundaries: two passes, not one."""
     coerced = [t if isinstance(t, (IpaSegment, Boundary)) else uncached(t) for t in tokens]
     out = []
     for token in coerced:
@@ -264,6 +276,8 @@ def repair_oracle(tokens):
                 continue
             out.append(token)
         elif token is U:
+            if out and out[-1] is U:
+                continue
             if out and out[-1] is W:
                 out.pop()
             out.append(token)
