@@ -159,7 +159,7 @@ def _check_phonemized(path, header) -> int:
     """The index of a CSV header's last phonemized column; a ConfigError if none (or no header)."""
     if header is None or corpus.PHONEMIZED not in header:
         raise ConfigError(f"{path}: no phonemized column to read segments from")
-    return {column: i for i, column in enumerate(header)}[corpus.PHONEMIZED]
+    return corpus.column_positions(header)[corpus.PHONEMIZED]
 
 
 def _input_streams(path: str):

@@ -40,9 +40,10 @@ PHONEMIZED = "phonemized"
 OUTPUT_COLUMNS = (PHONEMIZED, "is_child", "errors")
 CHILD_ROLE = "CHI"  # the speaker role that marks a child's row when no is_child column does
 
-# The text of a CSV row that ends inside a quoted cell, by the csv module's rule: a quote
-# opens a cell only at its start, and within the cell "" is one literal quote.
-_IN_QUOTED_CELL = re.compile(r'(?:(?:"(?:[^"]|"")*+"[^,]*|[^",][^,]*|),)*+"(?:[^"]|"")*+', re.S)
+# The text of a CSV row that ends inside a quoted cell, by the csv rule: a quote opens a cell
+# only at its start, and in the cell "" is one quote. Unrolled loops, as 3.10 has no possessive.
+_QUOTED = r'"[^"]*(?:""[^"]*)*'  # a quote that opens a cell, and the cell's text up to its close
+_IN_QUOTED_CELL = re.compile(rf'(?:(?:{_QUOTED}"(?!")[^,]*|[^",][^,]*|),)*{_QUOTED}')
 _AGE_RE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 
@@ -106,6 +107,11 @@ def read_corpus(
         yield from _read(handle, getattr(handle, "name", "<file>"), schema, child_role, row_errors)
 
 
+def column_positions(header: list[str]) -> dict[str, int]:
+    """Each column name's index in a CSV header; of two columns with one name, the last's."""
+    return {column: i for i, column in enumerate(header)}
+
+
 def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRecord]:
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if "gloss" not in schema:
@@ -116,8 +122,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
     header = next(reader, None)
     if header is None:
         raise FormatError("empty corpus file", source=name)
-    width = len(header)
-    at = {column: i for i, column in enumerate(header)}  # a repeated name: its last position
+    width, at = len(header), column_positions(header)
     missing = [source_col for source_col in schema.values() if source_col not in at]
     if missing:
         raise FormatError("missing column(s) " + ", ".join(repr(c) for c in missing), source=name)
@@ -126,7 +131,6 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
     errors_at = at.get("errors", width)
     mapped = set(schema.values()) | set(OUTPUT_COLUMNS)
     extra = [(column, i) for column, i in at.items() if column not in mapped]
-
     age_text, age = None, None
     for row in _rows(reader, lines, held, width, row_errors):
         row.append("")  # at position width: the cell of an unmapped field
@@ -137,8 +141,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
             utterance_id, transcript_id, corpus_id, collection_id, role, age, age_text, gloss,
             None if phonemized_at is None else row[phonemized_at],
             role == child_role if child_at is None else is_true(row[child_at]),
-            row[errors_at],
-            {column: row[i] for column, i in extra},
+            row[errors_at], {column: row[i] for column, i in extra},
         )
 
 
@@ -158,10 +161,7 @@ def _rows(reader, lines, held: list, width: int, row_errors) -> Iterator[list]:
         except csv.Error as exc:  # a cell longer than csv.field_size_limit, say
             problem, line_num = str(exc), reader.line_num + past
             text = "".join(held)
-            while _IN_QUOTED_CELL.fullmatch(text):
-                line = next(lines, None)
-                if line is None:
-                    break
+            while _IN_QUOTED_CELL.fullmatch(text) and (line := next(lines, None)) is not None:
                 past += 1
                 text = '"' + line  # the line as read from inside the cell
         else:

@@ -128,6 +128,21 @@ class TestReadCorpus:
         limit = f"field larger than field limit ({csv.field_size_limit()})"
         assert errors == [(2, limit), (5 + len(rest), "row does not match header")]
 
+    @given(st.text(alphabet='a",', max_size=12))
+    @example('"a"b,"c""')
+    @example('a"b,"')
+    def test_a_row_ends_inside_a_quoted_cell_as_the_csv_module_reads_it(self, line):
+        reader = csv.reader(io.StringIO(line + "\nnext\n"))
+        next(reader)
+        inside = reader.line_num > 1  # the cell ran on into the next line
+        assert bool(corpus._IN_QUOTED_CELL.fullmatch(line + "\n")) == inside
+
+    def test_module_patterns_compile_on_python_3_10(self):
+        """No possessive quantifier or atomic group: the re module has them from 3.11 only."""
+        patterns = [v.pattern for v in vars(corpus).values() if isinstance(v, re.Pattern)]
+        assert patterns
+        assert not [p for p in patterns if re.search(r"[*+?}]\+|\(\?>", p)]
+
     def test_quoted_gloss_with_comma(self, fixtures):
         assert read_small(fixtures)[2].gloss == "cha , cha"
 
