@@ -86,7 +86,7 @@ def _age_from_cell(cell: str) -> float | None:
         months = float(cell)
     except ValueError:
         return parse_age(cell)
-    return months if months >= 0 else None
+    return months if 0 <= months < float("inf") else None  # nan, inf and 1e400 are ageless
 
 
 def read_corpus(

@@ -9,8 +9,11 @@ PHOIBLE repeats the same few hundred segments, with the same feature cells,
 across its inventories. The loader still checks every row when the file
 loads, but decodes each distinct row of feature cells only once: segments
 with the same cells share one ``InventorySegment.features``, a read-only
-mapping. Rows that repeat phoneme, class and cells share one
-``InventorySegment``.
+mapping. When the three per-inventory columns lead the header, each distinct
+row tail (the text after a line's third comma) is parsed and checked once, and
+its rows share one ``InventorySegment``: a line that repeats a tail is split and
+gets only its id and duplicate checks. Otherwise rows that repeat phoneme, class
+and cells share one.
 """
 
 from __future__ import annotations
@@ -124,9 +127,9 @@ def load_inventories(source) -> list[Inventory]:
 
 
 def _load(handle, name: str) -> list[Inventory]:
-    reader = csv.reader(handle)
+    lines = iter(handle)
     try:
-        header = next(reader)
+        header = next(csv.reader(lines))
     except StopIteration:
         raise FormatError("empty inventory file", source=name) from None
     header = [col.strip() for col in header]
@@ -137,36 +140,57 @@ def _load(handle, name: str) -> list[Inventory]:
     feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
     feature_positions = [header.index(col) for col in feature_names]
     key_of = operator.itemgetter(phoneme_pos, class_pos, *feature_positions)
-    # One features mapping per cell tuple and one InventorySegment per
-    # (phoneme, class, cells), shared across inventories; segments come interned.
+    # Where the three per-inventory columns lead, a line's tail (its text after the third
+    # comma) holds every other cell. Split there only where the csv module surely reads the
+    # same three cells: no quote, NUL or carriage return, and no longer than the field limit.
+    leads, limit = {id_pos, language_pos, iso_pos} == {0, 1, 2}, csv.field_size_limit()
+    pushed: list[str] = []  # a line the loop hands back to the csv reader
+    feed = iter(lambda: pushed.pop() if pushed else next(lines, ""), "")
+    reader = csv.reader(feed if leads else lines)
+    # One features mapping per cell tuple, and one InventorySegment per row tail, or per
+    # (phoneme, class, cells) for rows without one, shared across inventories.
     decoded: dict[tuple, Mapping[str, TernaryValue]] = {}
-    shared: dict[tuple, InventorySegment] = {}
+    shared: dict[str | tuple, InventorySegment] = {}
 
     grouped: dict[int, tuple[str, str, dict]] = {}
-    for line_num, row in enumerate(reader, start=2):
-        if not any(map(str.strip, row)):
-            continue
-        if len(row) < len(header):
-            raise FormatError("row has fewer cells than the header", source=name, line=line_num)
+    for line_num, line in enumerate(lines if leads else reader, start=2):
+        row = line.split(",", 3) if leads else line
+        head = leads and len(row) == 4 and line[: len(line) - len(row[3])]  # 3 cells, 3 commas
+        plain = head and not ('"' in head or "\0" in head or "\r" in head or len(head) > limit)
+        tail = row[3] if plain else None
+        inv_seg = shared.get(tail)
+        if inv_seg is None:
+            if leads:  # a tail not seen yet, or no tail: the csv module reads the record
+                pushed.append(line)
+                read = reader.line_num
+                row = next(reader)
+                if reader.line_num > read + 1:  # the record ran on past this line
+                    tail = None
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) < len(header):
+                raise FormatError("row has fewer cells than the header", source=name, line=line_num)
         try:
             inv_id = int(row[id_pos])
         except ValueError:
             raise FormatError(
                 f"bad InventoryID {row[id_pos]!r}", source=name, line=line_num
             ) from None
-        key = key_of(row)
-        inv_seg = shared.get(key)
-        if inv_seg is None:  # first row with this phoneme, class and cells: check them
-            seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
-            if seg_class not in SEGMENT_CLASSES:
-                message = f"unknown SegmentClass {seg_class!r}"
-                raise FormatError(message, source=name, line=line_num)
-            (segment,) = as_segments([seg_text], name, line_num)
-            if cells not in decoded:
-                decoded[cells] = MappingProxyType(
-                    dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
-                )
-            inv_seg = shared[key] = InventorySegment(segment, seg_class, decoded[cells])
+        if inv_seg is None:
+            key = key_of(row)
+            inv_seg = shared.get(key) if tail is None else None
+            if inv_seg is None:  # first row with this tail, or phoneme, class and cells: check
+                seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
+                if seg_class not in SEGMENT_CLASSES:
+                    message = f"unknown SegmentClass {seg_class!r}"
+                    raise FormatError(message, source=name, line=line_num)
+                (segment,) = as_segments([seg_text], name, line_num)
+                if cells not in decoded:
+                    decoded[cells] = MappingProxyType(
+                        dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
+                    )
+                inv_seg = InventorySegment(segment, seg_class, decoded[cells])
+                shared[key if tail is None else tail] = inv_seg
         if inv_id not in grouped:
             grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
         inv_segments = grouped[inv_id][2]

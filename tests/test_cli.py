@@ -624,6 +624,20 @@ class TestStatsAndInfo:
         assert lines[1] == "0,2.0,1"
         assert lines[2] == "1,2.0,1"
 
+    @pytest.mark.parametrize("age", ["inf", "1e400"])
+    def test_info_reads_a_non_finite_age_as_ageless(self, tmp_path, age):
+        corpus_csv = tmp_path / "converted.csv"
+        corpus_csv.write_text(
+            "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss,phonemized\n"
+            f"u1,t,c,col,MOT,{age},x,a b\n"
+            "u2,t,c,col,MOT,18,x,b a\n",
+            encoding="utf-8",
+        )
+        proc = popen_cli("info", str(corpus_csv))
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and "Traceback" not in err, err
+        assert out.splitlines() == ["age_bucket,mean_information,n_utterances", "1,2.0,1"]
+
 
 def dict_reader_streams(path):
     """The streams of a file, each phonemized cell of a CSV read by name through csv.DictReader."""

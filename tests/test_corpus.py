@@ -75,6 +75,13 @@ class TestReadCorpus:
         assert [r.target_child_age for r in records] == [18.0, 18.0, 30.5]
         assert records[1].age_text == "1;06.00"
 
+    def test_non_finite_and_negative_month_cells_are_ageless(self):
+        header = ",".join(DEFAULT_SCHEMA.values())
+        cells = ["inf", "1e400", "-inf", "nan", "-3", "18.5"]
+        text = header + "\n" + "".join(f"u,t,c,col,MOT,{cell},hi\n" for cell in cells)
+        ages = [r.target_child_age for r in read_corpus(io.StringIO(text))]
+        assert ages == [None, None, None, None, None, 18.5]
+
     def test_extra_columns_preserved_in_order(self, fixtures):
         record = read_small(fixtures)[0]
         assert list(record.extra) == ["num_morphemes", "part_of_speech"]

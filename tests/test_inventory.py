@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,67 @@ class TestLoad:
         invs = load_csv(HEADER + "1,Toy,qaa,a,vowel,,x\n")
         assert feature_of(invs[0], "a", "syllabic") is TernaryValue.UNSPECIFIED
         assert feature_of(invs[0], "a", "voiced") is TernaryValue.UNSPECIFIED
+
+
+class TestRepeatedRowTail:
+    """A row that repeats an earlier row's text after its third comma keeps its own checks."""
+
+    ROW = "1,Toy,qaa,a,vowel,+,+\n"
+
+    def test_bad_inventory_id_at_its_line(self):
+        text = HEADER + self.ROW + "x1,Toy,qaa,a,vowel,+,+\n"
+        with pytest.raises(FormatError, match="^<file>: line 3: bad InventoryID 'x1'$"):
+            load_csv(text)
+
+    def test_second_repeat_in_one_inventory_is_a_duplicate(self):
+        text = HEADER + self.ROW + "2,Other,qab,a,vowel,+,+\n" * 2
+        message = "^<file>: line 4: duplicate segment 'a' in inventory 2$"
+        with pytest.raises(FormatError, match=message):
+            load_csv(text)
+
+    def test_names_and_codes_are_stripped(self):
+        (_, inv) = load_csv(HEADER + self.ROW + "2, Other , qab ,a,vowel,+,+\n")
+        assert (inv.language_name, inv.iso_code) == ("Other", "qab")
+        assert feature_of(inv, "a", "voiced") is TernaryValue.PLUS
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_language_name_at_and_over_the_field_limit(self, over):
+        limit = csv.field_size_limit(40)
+        try:
+            text = HEADER + self.ROW + f"2,{'L' * (40 + over)},qaa,a,vowel,+,+\n"
+            if over:
+                with pytest.raises(FormatError, match="field larger than field limit"):
+                    load_csv(text)
+            else:
+                assert load_csv(text)[1].language_name == "L" * 40
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize(
+        "head", ['2,"Toy",qaa', '2,"To,y",qaa', '2,To"y,qaa', "2,To\0y,qaa", "2\r,Toy,qaa"]
+    )
+    def test_a_head_the_split_may_misread_is_read_by_the_csv_module(self, head):
+        def outcome(load, text):
+            try:
+                return load(text)
+            except (FormatError, csv.Error) as exc:
+                return re.sub("^<(file|oracle)>: ", "", str(exc))
+
+        text = HEADER + self.ROW + head + ",a,vowel,+,+\n"
+        assert outcome(load_csv, text) == outcome(eager_load_oracle, text)
+
+    def test_a_layout_without_the_three_columns_first_reads_every_cell(self):
+        header = "Phoneme,LanguageName,ISO6393,InventoryID,SegmentClass,syllabic\n"
+        (inv,) = load_csv(header + "a,Toy,qaa,1,vowel,+\n" + "b,Toy,qaa,1,vowel,+\n")
+        assert inv.segment_texts() == {"a", "b"}
+
+    def test_a_record_over_two_lines_is_read_whole_and_counted_once(self):
+        record = '{},Toy,qaa,a,vowel,"+\n",+\n'
+        text = HEADER + record.format(1) + record.format(2) + "x1,Toy,qaa,b,vowel,+,+\n"
+        with pytest.raises(FormatError, match="^<file>: line 4: bad InventoryID 'x1'$"):
+            load_csv(text)
+        invs = load_csv(HEADER + record.format(1) + record.format(2))
+        assert [feature_of(inv, "a", "syllabic") for inv in invs] == [TernaryValue.PLUS] * 2
 
 
 class TestDiphthong:
@@ -249,9 +311,10 @@ def eager_load_oracle(text):
     ]
 
 
-FEATURE_CELLS = ["+", "-", " + ", " -", "+,-", "", "0", "junk"]
+FEATURE_CELLS = ["+", "-", " + ", " -", "+,-", "", "0", "junk", " +\n", "-\n+"]
 # "é" precomposed and decomposed are one segment, so they can collide as duplicates.
-PHONEMES = ["a", "b", "ʒ", "tʃ", "aː", "é", "é", "ɔɪ", "˥"]
+PHONEMES = ["a", "b", "ʒ", "tʃ", "aː", "é", "é", "ɔɪ", "˥"]
+LANGUAGE_NAMES = ["Lang{}", " Lang{} ", "Lang, {}", 'Lang "{}"']
 BAD_CELLS = {"InventoryID": "x1", "SegmentClass": "glide", "Phoneme": "WORD_BOUNDARY"}
 
 
@@ -259,26 +322,34 @@ BAD_CELLS = {"InventoryID": "x1", "SegmentClass": "glide", "Phoneme": "WORD_BOUN
 def inventory_csvs(draw):
     """The text of a PHOIBLE-shaped CSV.
 
-    Columns come in any order; one feature name may appear twice. Every row
-    draws its cells from a pool of up to three cell rows, so rows often share
-    cells, and one phoneme can carry different features in different
-    inventories. Blank rows are mixed in, and at times one row is made bad.
+    Columns come in any order, but at least half the time the three
+    per-inventory columns come first; one feature name may appear twice.
+    Every row draws its cells from a pool of up to three cell rows, so rows
+    often share cells, and one phoneme can carry different features in
+    different inventories. Language names may hold a comma or a quote and
+    feature cells a newline; lines end in LF or CRLF, and the last may have
+    no line ending. Blank rows are mixed in, and at times one row is made bad.
     """
     features = draw(st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=5, unique=True))
     if features and draw(st.booleans()):
         features.append(draw(st.sampled_from(features)))
-    header = draw(st.permutations(list(REQUIRED_COLUMNS) + [f"feat_{f}" for f in features]))
+    columns = list(REQUIRED_COLUMNS) + [f"feat_{f}" for f in features]
+    if draw(st.booleans()):
+        header = draw(st.permutations(columns[:3])) + draw(st.permutations(columns[3:]))
+    else:
+        header = draw(st.permutations(columns))
     rows = []
     cell_row = st.fixed_dictionaries(
         {f"feat_{f}": st.sampled_from(FEATURE_CELLS) for f in features}
     )
     cell_rows = draw(st.lists(cell_row, min_size=1, max_size=3))
     for inv_id in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)):
+        language = draw(st.sampled_from(LANGUAGE_NAMES)).format(inv_id)
         for phoneme in draw(st.lists(st.sampled_from(PHONEMES), max_size=6, unique=True)):
             cells = draw(st.sampled_from(cell_rows))
             fixed = {
                 "InventoryID": str(inv_id),
-                "LanguageName": f"Lang{inv_id}",
+                "LanguageName": language,
                 "ISO6393": "qaa",
                 "Phoneme": phoneme,
                 "SegmentClass": draw(st.sampled_from(["vowel", "consonant", "tone", " Vowel "])),
@@ -294,8 +365,10 @@ def inventory_csvs(draw):
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "] * 3])))
     out = io.StringIO()
-    csv.writer(out).writerows([header, *rows])
-    return out.getvalue()
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    csv.writer(out, lineterminator=line_end).writerows([header, *rows])
+    text = out.getvalue()
+    return text[: -len(line_end)] if draw(st.booleans()) else text
 
 
 @settings(max_examples=200, deadline=None)
