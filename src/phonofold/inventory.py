@@ -5,15 +5,11 @@ InventoryID, LanguageName, ISO6393, Phoneme and SegmentClass, followed by any
 number of feature columns. The feature schema is taken from the header
 verbatim, so the loader survives schema changes in the source database.
 
-PHOIBLE repeats the same few hundred segments, with the same feature cells,
-across its inventories. The loader still checks every row when the file
-loads, but decodes each distinct row of feature cells only once: segments
-with the same cells share one ``InventorySegment.features``, a read-only
-mapping. When the three per-inventory columns lead the header, each distinct
-row tail (the text after a line's third comma) is parsed and checked once, and
-its rows share one ``InventorySegment``: a line that repeats a tail is split and
-gets only its id and duplicate checks. Otherwise rows that repeat phoneme, class
-and cells share one.
+PHOIBLE repeats the same few hundred segments, with the same feature cells, across its
+inventories. The loader checks every row, but decodes each distinct row of feature cells once:
+segments with the same cells share one read-only ``InventorySegment.features`` mapping, and
+rows with the same phoneme, class and cells share one ``InventorySegment``. When the three
+per-inventory columns lead the header, each distinct row tail (after the third comma) is read once.
 """
 
 from __future__ import annotations
@@ -126,6 +122,22 @@ def load_inventories(source) -> list[Inventory]:
         return _load(handle, getattr(handle, "name", "<file>"))
 
 
+def _records(lines, by_tail: Collection[str]):
+    """Yield ``(row, tail)`` per record, split at the third comma where the tail is in by_tail."""
+    limit, pushed = csv.field_size_limit(), []  # pushed: a line handed back to the reader
+    reader = csv.reader(iter(lambda: pushed.pop() if pushed else next(lines, ""), ""))
+    for line in lines:
+        row = line.split(",", 3)
+        head = line[: len(line) - len(row[-1])]  # split only where csv reads the same 3 cells
+        plain = not ('"' in head or "\0" in head or "\r" in head or len(head) > limit)
+        tail = row[3] if len(row) == 4 and plain else None
+        if tail not in by_tail:  # the csv reader reads the record that starts at this line
+            pushed.append(line)
+            read, row = reader.line_num, next(reader)
+            tail = None if reader.line_num > read + 1 else tail  # None: it ran past this line
+        yield row, tail
+
+
 def _load(handle, name: str) -> list[Inventory]:
     lines = iter(handle)
     try:
@@ -140,32 +152,18 @@ def _load(handle, name: str) -> list[Inventory]:
     feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
     feature_positions = [header.index(col) for col in feature_names]
     key_of = operator.itemgetter(phoneme_pos, class_pos, *feature_positions)
-    # Where the three per-inventory columns lead, a line's tail (its text after the third
-    # comma) holds every other cell. Split there only where the csv module surely reads the
-    # same three cells: no quote, NUL or carriage return, and no longer than the field limit.
-    leads, limit = {id_pos, language_pos, iso_pos} == {0, 1, 2}, csv.field_size_limit()
-    pushed: list[str] = []  # a line the loop hands back to the csv reader
-    feed = iter(lambda: pushed.pop() if pushed else next(lines, ""), "")
-    reader = csv.reader(feed if leads else lines)
-    # One features mapping per cell tuple, and one InventorySegment per row tail, or per
-    # (phoneme, class, cells) for rows without one, shared across inventories.
+    # One features mapping per cell tuple and one InventorySegment per row tail, or per
+    # (phoneme, class, cells) for a row read without one, shared across inventories.
     decoded: dict[tuple, Mapping[str, TernaryValue]] = {}
-    shared: dict[str | tuple, InventorySegment] = {}
+    by_tail: dict[str, InventorySegment] = {}
+    shared: dict[tuple, InventorySegment] = {}
+    leads = {id_pos, language_pos, iso_pos} == {0, 1, 2}
+    records = _records(lines, by_tail) if leads else ((r, None) for r in csv.reader(lines))
 
     grouped: dict[int, tuple[str, str, dict]] = {}
-    for line_num, line in enumerate(lines if leads else reader, start=2):
-        row = line.split(",", 3) if leads else line
-        head = leads and len(row) == 4 and line[: len(line) - len(row[3])]  # 3 cells, 3 commas
-        plain = head and not ('"' in head or "\0" in head or "\r" in head or len(head) > limit)
-        tail = row[3] if plain else None
-        inv_seg = shared.get(tail)
+    for line_num, (row, tail) in enumerate(records, start=2):
+        inv_seg = by_tail.get(tail)  # a tail read before passed every check of its cells
         if inv_seg is None:
-            if leads:  # a tail not seen yet, or no tail: the csv module reads the record
-                pushed.append(line)
-                read = reader.line_num
-                row = next(reader)
-                if reader.line_num > read + 1:  # the record ran on past this line
-                    tail = None
             if not any(map(str.strip, row)):
                 continue
             if len(row) < len(header):
@@ -178,8 +176,8 @@ def _load(handle, name: str) -> list[Inventory]:
             ) from None
         if inv_seg is None:
             key = key_of(row)
-            inv_seg = shared.get(key) if tail is None else None
-            if inv_seg is None:  # first row with this tail, or phoneme, class and cells: check
+            inv_seg = shared.get(key)
+            if inv_seg is None:  # first row with this phoneme, class and cells: check them
                 seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
                 if seg_class not in SEGMENT_CLASSES:
                     message = f"unknown SegmentClass {seg_class!r}"
@@ -190,7 +188,10 @@ def _load(handle, name: str) -> list[Inventory]:
                         dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
                     )
                 inv_seg = InventorySegment(segment, seg_class, decoded[cells])
-                shared[key if tail is None else tail] = inv_seg
+                if tail is None:  # by_tail alone finds a segment read with a tail
+                    shared[key] = inv_seg
+            if tail is not None:
+                by_tail[tail] = inv_seg
         if inv_id not in grouped:
             grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
         inv_segments = grouped[inv_id][2]

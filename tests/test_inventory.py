@@ -313,7 +313,7 @@ def eager_load_oracle(text):
 
 FEATURE_CELLS = ["+", "-", " + ", " -", "+,-", "", "0", "junk", " +\n", "-\n+"]
 # "é" precomposed and decomposed are one segment, so they can collide as duplicates.
-PHONEMES = ["a", "b", "ʒ", "tʃ", "aː", "é", "é", "ɔɪ", "˥"]
+PHONEMES = ["a", "b", "ʒ", "tʃ", "aː", "\u00e9", "e\u0301", "ɔɪ", "˥"]
 LANGUAGE_NAMES = ["Lang{}", " Lang{} ", "Lang, {}", 'Lang "{}"']
 BAD_CELLS = {"InventoryID": "x1", "SegmentClass": "glide", "Phoneme": "WORD_BOUNDARY"}
 
