@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from operator import eq
 from typing import Iterable, Sequence
@@ -51,7 +52,8 @@ class RewriteRule:
     a ``#`` anchor pins the match to the word edge. ``apply`` makes one
     left-to-right pass with non-overlapping matches, contexts checked against
     the input. It takes a tuple and returns a tuple: the input itself where
-    the rule matches nowhere.
+    the rule matches nowhere. Given a string, one character per symbol, it
+    returns the string rewritten by one precompiled regular expression.
     """
 
     target: tuple[str, ...]
@@ -66,8 +68,29 @@ class RewriteRule:
             raise ValueError("rewrite target must be non-empty")
         object.__setattr__(self, "_window", self.left + self.target + self.right)
 
-    def apply(self, seq: tuple) -> tuple:
-        first, window, n = self.target[0], self._window, len(seq)
+    @cached_property
+    def _text_rule(self) -> tuple[re.Pattern, str]:
+        """This rule over text: a pattern with contexts as lookarounds and ``#`` as
+        ``\\A``/``\\Z``, and a replacement that ``re.sub`` reads literally."""
+        left = (r"\A" if self.left_anchor else "") + re.escape("".join(self.left))
+        right = re.escape("".join(self.right)) + (r"\Z" if self.right_anchor else "")
+        pattern = re.escape("".join(self.target))
+        pattern = (f"(?<={left})" if left else "") + pattern + (f"(?={right})" if right else "")
+        return re.compile(pattern), "".join(self.replacement).replace("\\", r"\\")
+
+    def apply(self, seq: tuple | str) -> tuple | str:
+        if seq.__class__ is str:
+            pattern, replacement = self._text_rule
+            return pattern.sub(replacement, seq)
+        window = self._window
+        if self.left_anchor or self.right_anchor:  # one window, at the word edge
+            start = len(seq) - len(window) if self.right_anchor else 0
+            end = start + len(window)
+            if start < 0 or (self.left_anchor and start) or seq[start:end] != window:
+                return seq
+            i = start + len(self.left)
+            return seq[:i] + self.replacement + seq[i + len(self.target) :]
+        first, n = self.target[0], len(seq)
         if first not in seq:
             return seq
         out: list = []
@@ -76,8 +99,6 @@ class RewriteRule:
             start = i - len(self.left)
             end = start + len(window)
             if i < done or start < 0 or seq[start:end] != window:
-                continue
-            if (self.left_anchor and start) or (self.right_anchor and end != n):
                 continue
             out += seq[done:i]
             out += self.replacement
@@ -153,13 +174,9 @@ def convert_rules(rules: RuleSet, word: str) -> tuple[list[IpaSegment], set[str]
     segments and are reported in the returned unmapped set; conversion never
     fails on unknown characters.
     """
-    if rules.pre_rules:
-        chars: Sequence[str] = tuple(_nfd(word))
-        for rule in rules.pre_rules:
-            chars = rule.apply(chars)
-        text = "".join(chars)
-    else:
-        text = _nfd(word)
+    text = _nfd(word)
+    for rule in rules.pre_rules:
+        text = rule.apply(text)
 
     grapheme_map = rules.grapheme_map
     segments: list[IpaSegment] = []

@@ -86,13 +86,15 @@ class Inventory:
     language_name: str
     iso_code: str
     segments: tuple[InventorySegment, ...]
-    _index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for seg in self.segments:
-            if seg.segment in self._index:
-                raise ValueError(f"duplicate segment {seg.segment!r} in inventory {self.id}")
-            self._index[seg.segment] = seg
+        index = {seg.segment: seg for seg in self.segments}
+        if len(index) < len(self.segments):  # name the first segment seen twice
+            texts = [seg.segment for seg in self.segments]
+            duplicate = next(text for i, text in enumerate(texts) if texts.index(text) < i)
+            raise ValueError(f"duplicate segment {duplicate!r} in inventory {self.id}")
+        object.__setattr__(self, "_index", index)
 
     def segment_texts(self) -> frozenset[IpaSegment]:
         return frozenset(self._index)
@@ -144,6 +146,8 @@ def _load(handle, name: str) -> list[Inventory]:
         header = next(csv.reader(lines))
     except StopIteration:
         raise FormatError("empty inventory file", source=name) from None
+    except csv.Error as exc:
+        raise FormatError(str(exc), source=name, line=1) from None
     header = [col.strip() for col in header]
     for col in REQUIRED_COLUMNS:
         if col not in header:
@@ -161,46 +165,50 @@ def _load(handle, name: str) -> list[Inventory]:
     records = _records(lines, by_tail) if leads else ((r, None) for r in csv.reader(lines))
 
     grouped: dict[int, tuple[str, str, dict]] = {}
-    for line_num, (row, tail) in enumerate(records, start=2):
-        inv_seg = by_tail.get(tail)  # a tail read before passed every check of its cells
-        if inv_seg is None:
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) < len(header):
-                raise FormatError("row has fewer cells than the header", source=name, line=line_num)
-        try:
-            inv_id = int(row[id_pos])
-        except ValueError:
-            raise FormatError(
-                f"bad InventoryID {row[id_pos]!r}", source=name, line=line_num
-            ) from None
-        if inv_seg is None:
-            key = key_of(row)
-            inv_seg = shared.get(key)
-            if inv_seg is None:  # first row with this phoneme, class and cells: check them
-                seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
-                if seg_class not in SEGMENT_CLASSES:
-                    message = f"unknown SegmentClass {seg_class!r}"
+    line_num = 1
+    try:
+        for line_num, (row, tail) in enumerate(records, start=2):
+            inv_seg = by_tail.get(tail)  # a tail read before passed every check of its cells
+            if inv_seg is None:
+                if not any(map(str.strip, row)):
+                    continue
+                if len(row) < len(header):
+                    message = "row has fewer cells than the header"
                     raise FormatError(message, source=name, line=line_num)
-                (segment,) = as_segments([seg_text], name, line_num)
-                if cells not in decoded:
-                    decoded[cells] = MappingProxyType(
-                        dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
-                    )
-                inv_seg = InventorySegment(segment, seg_class, decoded[cells])
-                if tail is None:  # by_tail alone finds a segment read with a tail
-                    shared[key] = inv_seg
-            if tail is not None:
-                by_tail[tail] = inv_seg
-        if inv_id not in grouped:
-            grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
-        inv_segments = grouped[inv_id][2]
-        segment = inv_seg.segment
-        if segment in inv_segments:
-            raise FormatError(
-                f"duplicate segment {segment!r} in inventory {inv_id}", source=name, line=line_num
-            )
-        inv_segments[segment] = inv_seg
+            try:
+                inv_id = int(row[id_pos])
+            except ValueError:
+                raise FormatError(
+                    f"bad InventoryID {row[id_pos]!r}", source=name, line=line_num
+                ) from None
+            if inv_seg is None:
+                key = key_of(row)
+                inv_seg = shared.get(key)
+                if inv_seg is None:  # first row with this phoneme, class and cells: check them
+                    seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
+                    if seg_class not in SEGMENT_CLASSES:
+                        message = f"unknown SegmentClass {seg_class!r}"
+                        raise FormatError(message, source=name, line=line_num)
+                    (segment,) = as_segments([seg_text], name, line_num)
+                    if cells not in decoded:
+                        decoded[cells] = MappingProxyType(
+                            dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
+                        )
+                    inv_seg = InventorySegment(segment, seg_class, decoded[cells])
+                    if tail is None:  # by_tail alone finds a segment read with a tail
+                        shared[key] = inv_seg
+                if tail is not None:
+                    by_tail[tail] = inv_seg
+            if inv_id not in grouped:
+                grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
+            inv_segments = grouped[inv_id][2]
+            segment = inv_seg.segment
+            if segment in inv_segments:
+                message = f"duplicate segment {segment!r} in inventory {inv_id}"
+                raise FormatError(message, source=name, line=line_num)
+            inv_segments[segment] = inv_seg
+    except csv.Error as exc:  # raised reading the record after line_num's
+        raise FormatError(str(exc), source=name, line=line_num + 1) from None
 
     return [
         Inventory(inv_id, language, iso, tuple(inv_segments.values()))

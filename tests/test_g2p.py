@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -199,6 +200,91 @@ def test_apply_matches_the_every_position_oracle(case):
     assert type(got) is tuple or got is seq
     if not any(oracle_matches_at(rule, seq, i) for i in range(len(seq))):
         assert got is seq
+
+
+# Pre rules rewrite text one character per symbol: plain letters, a lone NFD
+# combining mark, regex metacharacters, the replacement-string escape and a
+# newline, before which ``$`` would match where ``\Z`` does not.
+TEXT_SYMBOLS = ["a", "b", "e", "\u0301", "\u00e9", "\\", "$", "^", ".", "*", "(", "#", "\n"]
+_char = st.sampled_from(TEXT_SYMBOLS)
+
+
+def _chars(low, high):
+    return st.lists(_char, min_size=low, max_size=high).map(tuple)
+
+
+@st.composite
+def text_rule_and_word(draw):
+    """A single-character rule with contexts and anchors, and a word built of
+    characters, decomposed letters, runs of the target and copies of its window."""
+    rule = draw(
+        st.builds(
+            RewriteRule,
+            _chars(1, 2),
+            _chars(0, 3),
+            _chars(0, 2),
+            _chars(0, 2),
+            st.booleans(),
+            st.booleans(),
+        )
+    )
+    piece = st.one_of(
+        _char,
+        st.just("e\u0301"),
+        st.integers(2, 4).map(lambda k: rule.target[0] * k),
+        st.just("".join(rule.left + rule.target + rule.right)),
+    )
+    return rule, "".join(draw(st.lists(piece, max_size=8)))
+
+
+@settings(max_examples=500)
+@given(text_rule_and_word())
+@example((RewriteRule(("a",), ("\\", "1"), left=("$",), left_anchor=True), "$aa"))
+@example((RewriteRule(("(",), ("\\", "g", "<", "0", ">"), right=(".",), right_anchor=True), "((."))
+@example((RewriteRule(("\u0301",), (), left=("e",)), "e\u0301e\u0301\u0301"))
+@example((RewriteRule(("a",), ("b",), right=("$",), right_anchor=True), "a$\n"))
+def test_text_path_matches_the_tuple_path_and_the_oracle(case):
+    rule, word = case
+    expected = "".join(oracle_apply(rule, tuple(word)))
+    assert "".join(rule.apply(tuple(word))) == expected
+    assert rule.apply(word) == expected
+
+
+POOL_RULES = """\
+pre:
+h -> ∅ / # _
+c -> s / _ e
+e -> ∅ / _ s #
+s -> z / a _ a
+x -> k s / # _
+map:
+ch -> ʃ
+a -> a
+c -> k
+e -> ə
+h -> h
+k -> k
+s -> s
+x -> k s
+post:
+ə -> ∅ / _ #
+s -> ∅ / _ #
+ʃ -> s / # _ a
+k s -> ks / a _
+"""
+
+
+def test_a_parsed_rule_set_converts_the_same_after_a_pickle_round_trip():
+    # The worker pool pickles the backend, rule patterns included, into every chunk.
+    words = ["hache", "caches", "case", "xase", "axes", "cha", "hex", "chase", "ace"]
+    fresh = parse_rule_file(POOL_RULES)
+    used = parse_rule_file(POOL_RULES)
+    expected = [convert_rules(used, word) for word in words]
+    for rules in (pickle.loads(pickle.dumps(fresh)), pickle.loads(pickle.dumps(used))):
+        assert [convert_rules(rules, word) for word in words] == expected
+    backend = pickle.loads(pickle.dumps(RulesBackend(used)))
+    assert [backend.convert_word(word) for word in words] == expected
+
 
 class TestRuleFileParsing:
     def test_sections_and_comments(self, fixtures):

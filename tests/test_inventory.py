@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import re
 
 import pytest
@@ -74,6 +75,47 @@ class TestLoad:
         invs = load_csv(HEADER + "1,Toy,qaa,a,vowel,,x\n")
         assert feature_of(invs[0], "a", "syllabic") is TernaryValue.UNSPECIFIED
         assert feature_of(invs[0], "a", "voiced") is TernaryValue.UNSPECIFIED
+
+
+class TestInventoryIndex:
+    def test_direct_construction_names_the_first_segment_seen_twice(self):
+        a, b = (InventorySegment(IpaSegment(s), "vowel", {}) for s in "ab")
+        with pytest.raises(ValueError, match="^duplicate segment 'b' in inventory 7$"):
+            Inventory(7, "Toy", "qaa", (a, b, b, a))
+        assert Inventory(7, "Toy", "qaa", (a, b)).lookup("b") is b
+
+
+class TestCsvErrorLine:
+    """The csv module's errors name the inventory file and the record's line."""
+
+    LEADING = (HEADER, "{id},{name},qaa,a,vowel,+,+\n")
+    TRAILING = (
+        "Phoneme,SegmentClass,syllabic,voiced,InventoryID,LanguageName,ISO6393\n",
+        "a,vowel,+,+,{id},{name},qaa\n",
+    )
+
+    @pytest.mark.parametrize("layout", [LEADING, TRAILING], ids=["leading", "trailing"])
+    def test_a_field_over_the_limit(self, layout):
+        header, row = layout
+        text = header + row.format(id=1, name="Toy") + row.format(id=2, name="L" * 60)
+        limit = csv.field_size_limit(40)
+        try:
+            message = r"^<file>: line 3: field larger than field limit \(40\)$"
+            with pytest.raises(FormatError, match=message):
+                load_csv(text)
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("layout", [LEADING, TRAILING], ids=["leading", "trailing"])
+    def test_a_carriage_return_inside_an_unquoted_cell(self, layout):
+        header, row = layout
+        text = header + row.format(id=1, name="Toy") + row.format(id=2, name="To\ry")
+        with pytest.raises(FormatError, match="^<file>: line 3: new-line character seen"):
+            load_csv(text)
+
+    def test_in_the_header(self):
+        with pytest.raises(FormatError, match="^<file>: line 1: new-line character seen"):
+            load_csv("InventoryID,Language\rName\n")
 
 
 class TestRepeatedRowTail:
@@ -250,7 +292,8 @@ def eager_load_oracle(text):
     """The one-dict-per-row loader, kept as the reference for ``load_inventories``.
 
     Every row builds its own IpaSegment and its own feature dict, each cell
-    decoded with the plain if-chain.
+    decoded with the plain if-chain. A csv.Error becomes a FormatError at the
+    line of the record it was raised reading.
     """
 
     def from_cell(cell):
@@ -263,12 +306,24 @@ def eager_load_oracle(text):
 
     name = "<oracle>"
     reader = csv.reader(io.StringIO(text))
-    header = [col.strip() for col in next(reader)]
+
+    def read_records():
+        for line_num in itertools.count(1):
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise FormatError(str(exc), source=name, line=line_num) from None
+            yield row
+
+    records = read_records()
+    header = [col.strip() for col in next(records)]
     positions = {col: header.index(col) for col in REQUIRED_COLUMNS}
     feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
     feature_positions = [header.index(col) for col in feature_names]
     grouped = {}
-    for line_num, row in enumerate(reader, start=2):
+    for line_num, row in enumerate(records, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < len(header):

@@ -1,0 +1,89 @@
+"""The oldest interpreter pyproject.toml supports writes the same corpus CSV as this one.
+
+Rule patterns (lookbehinds, ``\\A``/``\\Z`` anchors) and the csv module differ
+between interpreter versions, so ``corpus`` runs under both and its outputs
+are compared byte for byte. The test skips when no such interpreter starts.
+"""
+
+import csv
+import glob
+import json
+import os
+import random
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+OLDEST = re.search(
+    r'requires-python = ">=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+).group(1)
+MAIN = "import sys; from phonofold.cli import main; sys.exit(main(sys.argv[1:]))"
+SYLLABLES = ["ha", "ce", "ci", "cha", "dja", "ge", "sa", "xa", "ou", "ai", "è", "é", "ro", "ti"]
+SYLLABLES += ["nes", "es", "ler", "ka", "ki", "lo", "(", "."]
+COLUMNS = ["speaker_role", "target_child_age", "gloss"]
+
+
+def _starts(python: str) -> bool:
+    try:
+        proc = subprocess.run(
+            [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    return proc.returncode == 0 and proc.stdout.strip() == OLDEST
+
+
+def oldest_python() -> str | None:
+    """A ``pythonX.Y`` on PATH that starts, else one under ``$(pyenv root)/versions``."""
+    candidates = [shutil.which(f"python{OLDEST}")]
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True, timeout=60)
+        if root.returncode == 0 and root.stdout.strip():
+            pattern = os.path.join(root.stdout.strip(), "versions", f"{OLDEST}.*", "bin", "python")
+            candidates += sorted(glob.glob(pattern))
+    return next((c for c in candidates if c and _starts(c)), None)
+
+
+def write_corpus(path: Path) -> None:
+    rng = random.Random(18)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        out = csv.writer(handle)
+        out.writerow(["id", "transcript_id", "corpus_id", "collection_id"] + COLUMNS)
+        for i in range(400):
+            words = ("".join(rng.choices(SYLLABLES, k=rng.randint(1, 3))) for _ in range(4))
+            age = f"{rng.randint(12, 48)}.0"
+            role = rng.choice(["MOT", "CHI"])
+            out.writerow([f"u{i}", "t1", "c1", "col1", role, age, " ".join(words)])
+
+
+def run_corpus(python: str, corpus: Path, out: Path) -> tuple[bytes, dict]:
+    fixtures = ROOT / "tests" / "fixtures"
+    argv = ["corpus", "--backend", "rules", "--rules", str(fixtures / "anchored.rules")]
+    argv += ["--fold", str(fixtures / "french.fold"), "--workers", "1"]
+    argv += ["--input", str(corpus), "--output", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([python, "-c", MAIN, *argv], env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    summary = json.loads(Path(f"{out}.summary.json").read_text(encoding="utf-8"))
+    summary.pop("seconds")
+    return out.read_bytes(), summary
+
+
+def test_corpus_csv_is_the_same_under_the_oldest_supported_python(tmp_path):
+    python = oldest_python()
+    if python is None:
+        pytest.skip(f"no Python {OLDEST} interpreter starts here")
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(corpus)
+    oldest = run_corpus(python, corpus, tmp_path / "oldest.csv")
+    current = run_corpus(sys.executable, corpus, tmp_path / "current.csv")
+    assert oldest == current
