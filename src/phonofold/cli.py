@@ -165,12 +165,15 @@ def _check_phonemized(path, header) -> int:
 def _input_streams(path: str):
     """``parse_stream`` of each line of a text file, or of each ``phonemized`` cell of a CSV."""
     with open_text(path) as handle:
-        lines = handle
-        if Path(path).suffix.lower() == ".csv":
-            reader = csv.reader(handle)
+        if Path(path).suffix.lower() != ".csv":
+            yield from map(parse_stream, handle)
+            return
+        reader = csv.reader(handle)
+        try:  # around the whole loop: a try per row would slow every row down
             at = _check_phonemized(path, next(reader, None))
-            lines = (row[at] if at < len(row) else "" for row in reader)
-        yield from map(parse_stream, lines)
+            yield from map(parse_stream, (row[at] if at < len(row) else "" for row in reader))
+        except csv.Error as exc:
+            raise FormatError(str(exc), source=path, line=reader.line_num) from None
 
 
 def _read_observed(path: str) -> set[IpaSegment]:

@@ -9,16 +9,18 @@ mappings for unknowns that differ only by diacritics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from itertools import groupby
 from typing import Collection, Iterable
 
 from .chars import classify_segment, strip_marks
 from .errors import FormatError
 from .g2p import DELETION_MARK, RewriteRule, _split_rule_line
 from .inventory import Inventory
-from .stream import IpaSegment, PhonemeStream, as_segments, content_lines, read_text
-from .stream import repair_tokens
+from .stream import IpaSegment, PhonemeStream, as_segments, coerce_token, content_lines
+from .stream import read_text, repair_checked
 
 
 class RuleKind(Enum):
@@ -56,6 +58,21 @@ class FoldRule(RewriteRule):
 class FoldMap:
     rules: tuple[FoldRule, ...]
     provenance: str = "<string>"
+
+    @cached_property
+    def _passes(self) -> list:
+        """The rules in file order, rhs tokens coerced; each run of two or more with a one-token
+        lhs becomes one dict, token -> image, exact as such a rule rewrites each token alone."""
+        passes: list = []
+        for one_token, run in groupby(self.rules, key=lambda rule: len(rule.lhs) == 1):
+            run = [replace(rule, replacement=tuple(map(coerce_token, rule.rhs))) for rule in run]
+            if one_token and len(run) > 1:
+                table: dict = {}
+                for rule in run:  # rewrite the images so far, then add lhs if no rule took it
+                    table = {rule.lhs[0]: rule.rhs} | {t: rule.apply(i) for t, i in table.items()}
+                run = [table]
+            passes += run
+        return passes
 
 
 @dataclass(frozen=True)
@@ -99,13 +116,24 @@ def load_fold_map(path) -> FoldMap:
 def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
     """Apply every rule in map order, each in one non-overlapping pass.
 
-    Boundary tokens never equal segments, so no match spans a boundary. A
-    stream that no rule matches is returned as it is.
+    A run of one-token rules folds in one dict pass. Boundary tokens never equal
+    segments, so no match spans a boundary. A stream that no rule matches is
+    returned as it is.
     """
     tokens = stream
-    for rule in fold_map.rules:
-        tokens = rule.apply(tokens)
-    return stream if tokens is stream else repair_tokens(tokens)
+    for step in fold_map._passes:
+        if step.__class__ is not dict:
+            tokens = step.apply(tokens)
+        elif not step.keys().isdisjoint(tokens):
+            out: list = []
+            for token in tokens:
+                image = step.get(token)
+                if image is None:
+                    out.append(token)
+                else:
+                    out += image
+            tokens = tuple(out)  # a tuple, as RewriteRule.apply compares tuple slices
+    return stream if tokens is stream else repair_checked(tokens)
 
 
 def check_fold_map(fold_map: FoldMap) -> list[str]:

@@ -289,6 +289,9 @@ class RulesBackend:
             known = self._memo[word] = (tuple(segments), frozenset(unmapped) or self._NONE_UNMAPPED)
         return list(known[0]), known[1]
 
+    def __reduce__(self):  # the memo stays behind: every pool chunk pickles the backend
+        return type(self), (self.rules,)
+
 
 @dataclass(frozen=True)
 class LexiconBackend:

@@ -7,7 +7,8 @@ precedes an utterance boundary, and no utterance boundary follows another.
 The text form is a single line of space-separated tokens, with the literals
 WORD_BOUNDARY and UTT_BOUNDARY marking boundaries. ``repair_tokens`` is the
 package's builder: it drops each boundary that breaks a rule as it builds,
-so a stream is checked once, where it enters the system.
+so a stream is checked once, where it enters the system; ``repair_checked``
+is its loop alone, for tokens already checked, such as a fold's output.
 ``PhonemeStream(tokens)`` is the public door: it builds through
 ``repair_tokens`` and rejects rather than repairs.
 
@@ -180,7 +181,12 @@ def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[I
 
 
 def repair_tokens(tokens: Iterable) -> PhonemeStream:
-    """The tokens, each coerced, as a stream with redundant boundaries dropped.
+    """The tokens, each coerced, as a stream with redundant boundaries dropped."""
+    return repair_checked(map(coerce_token, tokens))
+
+
+def repair_checked(tokens: Iterable[StreamToken]) -> PhonemeStream:
+    """Tokens that are already tokens, as a stream with redundant boundaries dropped.
 
     Runs of each boundary collapse to one, a WordBoundary next to an
     UttBoundary (either side) is dropped, since the utterance boundary
@@ -189,7 +195,7 @@ def repair_tokens(tokens: Iterable) -> PhonemeStream:
     """
     word, utt = Boundary.WORD, Boundary.UTT  # locals: an Enum member lookup is slow per token
     out: list[StreamToken] = []
-    for token in map(coerce_token, tokens):
+    for token in tokens:
         if token is word:
             if not out or isinstance(out[-1], Boundary):
                 continue  # leading, or redundant next to another boundary

@@ -1188,3 +1188,23 @@ class TestOversizedCsvCell:
         observed = str(fixtures / "french_backend_output.txt")
         proc = popen_cli("match", "--inventory", str(source), observed)
         assert_clean_error(proc, str(source), "field limit")
+
+    @pytest.mark.parametrize("command", ["stats", "validate", "match"])
+    def test_a_corpus_csv_read_for_its_streams_names_the_line(
+        self, command, capsys, fixtures, tmp_path
+    ):
+        source = tmp_path / "big.csv"
+        rows = ["id,phonemized", "u1,a b", "u2," + "a" * 140_000]
+        source.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = [command, str(source)]
+        if command != "stats":
+            argv[1:1] = ["--inventory", str(fixtures / "french_inventory.csv")]
+        if command == "validate":
+            argv[1:1] = FRENCH_ARGS
+        limit = csv.field_size_limit(131072)
+        try:
+            code, _, err = run(capsys, *argv)
+        finally:
+            csv.field_size_limit(limit)
+        assert code == 2
+        assert err == f"error: {source}: line 3: field larger than field limit (131072)\n"

@@ -1,7 +1,8 @@
+import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonofold.errors import FormatError
@@ -21,6 +22,7 @@ from phonofold.folding import (
 )
 from phonofold.inventory import load_inventories
 from phonofold.stream import (
+    Boundary,
     IpaSegment,
     PhonemeStream,
     emit_stream,
@@ -316,6 +318,80 @@ def test_rule_skipping_matches_every_rule_oracle():
         cases.append((random_feeding_map(rng), parse_stream(" ".join(tokens))))
     for fold_map, stream in cases:
         assert apply_fold(fold_map, stream) == fold_every_rule(fold_map, stream)
+
+
+def fold_rule_by_rule(fold_map, stream):
+    """Oracle: each rule's own ``apply`` in order, then one repair of the result."""
+    tokens = stream
+    for rule in fold_map.rules:
+        tokens = rule.apply(tokens)
+    return repair_tokens(tokens)
+
+
+# Few tokens, so rules feed one another: a split's rhs holds a later or an earlier lhs.
+FOLD_TOKENS = st.sampled_from([IpaSegment(t) for t in "abcdʃ"])
+ONE_TOKEN_RULES = st.one_of(
+    st.builds(
+        lambda lhs, rhs: FoldRule((lhs,), tuple(rhs)),
+        FOLD_TOKENS,
+        st.lists(FOLD_TOKENS, max_size=3),
+    ),
+    FOLD_TOKENS.map(lambda token: FoldRule((token,), (token,))),  # identity
+    FOLD_TOKENS.map(lambda token: FoldRule((token,), ())),  # delete
+)
+MERGE_RULES = st.builds(
+    lambda lhs, rhs: FoldRule(tuple(lhs), tuple(rhs)),
+    st.lists(FOLD_TOKENS, min_size=2, max_size=3),
+    st.lists(FOLD_TOKENS, max_size=2),
+)
+
+
+@st.composite
+def run_heavy_maps(draw):
+    """Runs of one-token rules, repeated lhs allowed, with a merge between runs."""
+    rules = []
+    for run in draw(st.lists(st.lists(ONE_TOKEN_RULES, min_size=1, max_size=6), max_size=3)):
+        if rules or draw(st.booleans()):
+            rules.append(draw(MERGE_RULES))
+        rules += run
+    return FoldMap(tuple(rules))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    run_heavy_maps(),
+    st.lists(FOLD_TOKENS | st.sampled_from(["WORD_BOUNDARY", "UTT_BOUNDARY"]), max_size=16),
+)
+@example(fold("a -> b c\nc -> a\nb ->"), ["a", "c", "WORD_BOUNDARY", "b", "UTT_BOUNDARY", "d"])
+@example(fold("a -> a\na b -> c\nb -> a\nc -> b b"), ["a", "b", "WORD_BOUNDARY", "c", "b"])
+@example(FoldMap((FoldRule(("a",), ("b",)), FoldRule(("a",), ("c",)))), ["a", "b"])
+def test_compiled_fold_matches_the_rule_by_rule_oracles(fold_map, tokens):
+    stream = repair_tokens(tokens)
+    before_use = pickle.loads(pickle.dumps(fold_map))  # the pool sends the map with every chunk
+    folded = apply_fold(fold_map, stream)
+    assert folded == fold_every_rule(fold_map, stream) == fold_rule_by_rule(fold_map, stream)
+    assert all(isinstance(token, (IpaSegment, Boundary)) for token in folded)
+    after_use = pickle.loads(pickle.dumps(fold_map))
+    assert apply_fold(before_use, stream) == apply_fold(after_use, stream) == folded
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        (FoldRule(("a",), ("b",)), FoldRule(("c",), ("d", "WORD_BOUNDARY"))),  # a run: one dict
+        (
+            FoldRule(("a",), ("b",)),
+            FoldRule(("x", "y"), ("z",)),
+            FoldRule(("c",), ("d", "WORD_BOUNDARY")),
+        ),
+    ],
+    ids=["run", "lone-rules"],
+)
+def test_a_map_built_from_plain_strings_folds_to_tokens(rules):
+    folded = apply_fold(FoldMap(rules), parse_stream("a c x"))
+    assert [type(token) for token in folded] == [IpaSegment, IpaSegment, Boundary, IpaSegment]
+    assert folded == fold_rule_by_rule(FoldMap(rules), parse_stream("a c x"))
+    assert emit_stream(folded) == "b d WORD_BOUNDARY x"
 
 
 def test_boundary_positions_stable_relative_to_survivors():

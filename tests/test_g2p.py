@@ -286,6 +286,21 @@ def test_a_parsed_rule_set_converts_the_same_after_a_pickle_round_trip():
     assert [backend.convert_word(word) for word in words] == expected
 
 
+def test_a_rules_backend_pickles_without_its_memo():
+    # Every pool chunk carries the backend; the words it has converted stay behind.
+    # A pre rule caches its pattern on first use, so the rules are used before sizing.
+    words = ["hache", "caches", "case", "xase", "axes", "cha", "hex", "chase", "ace"]
+    rules = parse_rule_file(POOL_RULES)
+    convert_rules(rules, "hache")
+    backend = RulesBackend(rules)
+    size = len(pickle.dumps(backend))
+    expected = [backend.convert_word(word) for word in words]
+    assert len(pickle.dumps(backend)) == size
+    copy = pickle.loads(pickle.dumps(backend))
+    assert not copy._memo
+    assert [copy.convert_word(word) for word in words] == expected
+
+
 class TestRuleFileParsing:
     def test_sections_and_comments(self, fixtures):
         ruleset = parse_rule_file((fixtures / "cha.rules").read_text(encoding="utf-8"))
