@@ -303,7 +303,11 @@ def cmd_info(args) -> int:
         _refuse_file_at(args.input, "--output", sink)
     with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
         with open_text(args.input) as handle:
-            _check_phonemized(args.input, next(csv.reader(handle), None))
+            reader = csv.reader(handle)
+            try:
+                _check_phonemized(args.input, next(reader, None))
+            except csv.Error as exc:
+                raise FormatError(str(exc), source=args.input, line=reader.line_num) from None
         records = corpus.read_corpus(args.input, args.schema, args.child_role)
         records = [r for r in records if not r.is_child]
         points = analysis.info_by_age(

@@ -119,7 +119,10 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
     held: list = []
     lines = (held.append(line) or line for line in handle)  # each line held as it is read
     reader = csv.reader(lines)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise FormatError(str(exc), source=name, line=reader.line_num) from None
     if header is None:
         raise FormatError("empty corpus file", source=name)
     width, at = len(header), column_positions(header)

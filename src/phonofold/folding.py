@@ -9,7 +9,7 @@ mappings for unknowns that differ only by diacritics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
@@ -19,8 +19,8 @@ from .chars import classify_segment, strip_marks
 from .errors import FormatError
 from .g2p import DELETION_MARK, RewriteRule, _split_rule_line
 from .inventory import Inventory
-from .stream import IpaSegment, PhonemeStream, as_segments, coerce_token, content_lines
-from .stream import read_text, repair_checked
+from .stream import IpaSegment, PhonemeStream, as_segments, content_lines, read_text
+from .stream import repair_tokens
 
 
 class RuleKind(Enum):
@@ -61,11 +61,11 @@ class FoldMap:
 
     @cached_property
     def _passes(self) -> list:
-        """The rules in file order, rhs tokens coerced; each run of two or more with a one-token
-        lhs becomes one dict, token -> image, exact as such a rule rewrites each token alone."""
+        """The rules in file order; each run of two or more with a one-token lhs becomes one
+        dict, token -> image, exact as such a rule rewrites each token alone."""
         passes: list = []
         for one_token, run in groupby(self.rules, key=lambda rule: len(rule.lhs) == 1):
-            run = [replace(rule, replacement=tuple(map(coerce_token, rule.rhs))) for rule in run]
+            run = list(run)
             if one_token and len(run) > 1:
                 table: dict = {}
                 for rule in run:  # rewrite the images so far, then add lhs if no rule took it
@@ -117,7 +117,8 @@ def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
     """Apply every rule in map order, each in one non-overlapping pass.
 
     A run of one-token rules folds in one dict pass. Boundary tokens never equal
-    segments, so no match spans a boundary. A stream that no rule matches is
+    segments, so no match spans a boundary. Rhs text becomes tokens once, when
+    ``repair_tokens`` builds the result; a stream that no rule matches is
     returned as it is.
     """
     tokens = stream
@@ -133,7 +134,7 @@ def apply_fold(fold_map: FoldMap, stream: PhonemeStream) -> PhonemeStream:
                 else:
                     out += image
             tokens = tuple(out)  # a tuple, as RewriteRule.apply compares tuple slices
-    return stream if tokens is stream else repair_checked(tokens)
+    return stream if tokens is stream else repair_tokens(tokens)
 
 
 def check_fold_map(fold_map: FoldMap) -> list[str]:

@@ -108,6 +108,12 @@ class RewriteRule:
         return tuple(out) + seq[done:]
 
 
+def _longest_first(keys: Iterable[str], *tail: str) -> re.Pattern:
+    """A pattern matching the longest key at a position, else the first tail pattern that does."""
+    alternatives = [*map(re.escape, sorted(keys, key=len, reverse=True)), *tail]
+    return re.compile("|".join(alternatives) or "(?!)", re.S)  # (?!) never matches
+
+
 class GraphemeMap:
     """Ordered grapheme-to-segments entries, matched longest-first.
 
@@ -125,8 +131,7 @@ class GraphemeMap:
             segments = tuple(IpaSegment(s) for s in segments)
             self.entries.append((grapheme, segments))
             self._table.setdefault(grapheme, segments)
-        keys = sorted(self._table, key=len, reverse=True)
-        self._pattern = re.compile("|".join([*map(re.escape, keys), "."]), re.S)
+        self._pattern = _longest_first(self._table, ".")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -163,8 +168,9 @@ class SyllableTable:
     syllabic_segments: frozenset = frozenset()
 
     def __post_init__(self):
-        lengths = sorted({len(k) for k in self.entries}, reverse=True)
-        object.__setattr__(self, "_lengths", lengths)
+        if "" in self.entries:
+            raise ValueError("syllable keys must be non-empty")
+        object.__setattr__(self, "_pattern", _longest_first(self.entries))
 
 
 def convert_rules(rules: RuleSet, word: str) -> tuple[list[IpaSegment], set[str]]:
@@ -219,14 +225,11 @@ def syllabify(table: SyllableTable, text: str) -> list[str]:
     syllables: list[str] = []
     pos = 0
     while pos < len(text):
-        for width in table._lengths:
-            candidate = text[pos : pos + width]
-            if len(candidate) == width and candidate in table.entries:
-                syllables.append(candidate)
-                pos += width
-                break
-        else:
+        match = table._pattern.match(text, pos)
+        if match is None:
             raise SegmentationError(text, pos)
+        syllables.append(match[0])
+        pos = match.end()
     return syllables
 
 
@@ -359,8 +362,7 @@ def convert_utterance(
             tokens.extend(segments)
 
     # One UttBoundary ends the stream, unless it holds only word boundaries.
-    last = next((t for t in reversed(tokens) if t is not Boundary.WORD), None)
-    if last is not None and last is not Boundary.UTT:
+    if any(t is not Boundary.WORD for t in tokens):
         tokens.append(Boundary.UTT)
     return repair_tokens(tokens), unmapped
 

@@ -6,11 +6,10 @@ A word boundary never comes first, never follows another boundary and never
 precedes an utterance boundary, and no utterance boundary follows another.
 The text form is a single line of space-separated tokens, with the literals
 WORD_BOUNDARY and UTT_BOUNDARY marking boundaries. ``repair_tokens`` is the
-package's builder: it drops each boundary that breaks a rule as it builds,
-so a stream is checked once, where it enters the system; ``repair_checked``
-is its loop alone, for tokens already checked, such as a fold's output.
-``PhonemeStream(tokens)`` is the public door: it builds through
-``repair_tokens`` and rejects rather than repairs.
+package's one builder: it turns each item that is still text into a token and
+drops each boundary that breaks a rule as it builds, so a stream is checked
+once, where it enters the system. ``PhonemeStream(tokens)`` is the public
+door: it builds through ``repair_tokens`` and rejects rather than repairs.
 
 Token text becomes a token through ``coerce_token`` and one module-level
 intern table, text -> finished token, seeded with the two boundary literals.
@@ -26,7 +25,6 @@ of the process. ``as_segments`` reads the same table.
 from __future__ import annotations
 
 import contextlib
-import csv
 import os
 import unicodedata
 from enum import Enum
@@ -73,9 +71,7 @@ class IpaSegment(str):
 def open_text(source, mode: str = "r"):
     """A context manager over a text handle: an open handle as is, a path opened now as UTF-8.
 
-    Reading text that is not UTF-8 in the block, or a CSV row that the csv module
-    cannot read (a cell longer than ``csv.field_size_limit``), is a FormatError
-    naming the file.
+    Reading text that is not UTF-8 in the block is a FormatError naming the file.
     """
     if hasattr(source, "read") or hasattr(source, "write"):
         return _text_handle(source, mode, close=False)
@@ -86,12 +82,10 @@ def open_text(source, mode: str = "r"):
 def _text_handle(handle, mode: str, close: bool):
     try:
         yield handle
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
         if "r" not in mode:
             raise
-        message = str(exc)
-        if isinstance(exc, UnicodeDecodeError):
-            message = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        message = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
         raise FormatError(message, source=getattr(handle, "name", "<file>")) from None
     finally:
         if close:
@@ -181,12 +175,7 @@ def as_segments(tokens: Iterable[str], source: str, line: int | None) -> tuple[I
 
 
 def repair_tokens(tokens: Iterable) -> PhonemeStream:
-    """The tokens, each coerced, as a stream with redundant boundaries dropped."""
-    return repair_checked(map(coerce_token, tokens))
-
-
-def repair_checked(tokens: Iterable[StreamToken]) -> PhonemeStream:
-    """Tokens that are already tokens, as a stream with redundant boundaries dropped.
+    """The tokens, text coerced, as a stream with redundant boundaries dropped.
 
     Runs of each boundary collapse to one, a WordBoundary next to an
     UttBoundary (either side) is dropped, since the utterance boundary
@@ -194,8 +183,11 @@ def repair_checked(tokens: Iterable[StreamToken]) -> PhonemeStream:
     adjacency invariants so hold by construction and are not checked again.
     """
     word, utt = Boundary.WORD, Boundary.UTT  # locals: an Enum member lookup is slow per token
+    segment, boundary = IpaSegment, Boundary
     out: list[StreamToken] = []
     for token in tokens:
+        if token.__class__ is not segment and token.__class__ is not boundary:
+            token = coerce_token(token)
         if token is word:
             if not out or isinstance(out[-1], Boundary):
                 continue  # leading, or redundant next to another boundary

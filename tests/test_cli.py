@@ -1208,3 +1208,19 @@ class TestOversizedCsvCell:
             csv.field_size_limit(limit)
         assert code == 2
         assert err == f"error: {source}: line 3: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("command", ["corpus", "info", "stats"])
+    def test_a_header_past_the_field_limit_names_line_one(self, command, capsys, tmp_path):
+        source = tmp_path / "hdr.csv"
+        source.write_text("id,gloss" + "a" * 140_000 + ",phonemized\nu1,hi,h a\n", encoding="utf-8")
+        argv = [command, str(source)]
+        if command == "corpus":
+            argv = [command, "--backend", "passthrough", "--uncorrected", "--input", str(source)]
+            argv += ["--output", str(tmp_path / "out.csv")]
+        limit = csv.field_size_limit(131072)
+        try:
+            code, _, err = run(capsys, *argv)
+        finally:
+            csv.field_size_limit(limit)
+        assert code == 2
+        assert err == f"error: {source}: line 1: field larger than field limit (131072)\n"

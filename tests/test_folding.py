@@ -394,6 +394,25 @@ def test_a_map_built_from_plain_strings_folds_to_tokens(rules):
     assert emit_stream(folded) == "b d WORD_BOUNDARY x"
 
 
+NFC_E = "\u00e9"  # é as one code point: a stream holds it decomposed
+
+
+@pytest.mark.parametrize(
+    "rules, expected",
+    [
+        ((FoldRule(("a",), (NFC_E,)), FoldRule((NFC_E,), ("x",))), "x b"),
+        ((FoldRule(("a",), ("WORD_BOUNDARY",)), FoldRule(("WORD_BOUNDARY",), ("y",))), "y b"),
+    ],
+    ids=["nfc-rhs-feeds-nfc-lhs", "boundary-text-feeds-a-rule"],
+)
+def test_a_map_built_in_code_folds_as_its_rules_one_by_one(rules, expected):
+    """A later rule sees an earlier rule's rhs text as written: it becomes a token at the end."""
+    fold_map, stream = FoldMap(rules), parse_stream("a b")
+    folded = apply_fold(fold_map, stream)
+    assert folded == fold_rule_by_rule(fold_map, stream)
+    assert emit_stream(folded) == expected
+
+
 def test_boundary_positions_stable_relative_to_survivors():
     # one-to-one maps keep every segment, so each boundary must still sit
     # after the same number of segments as before

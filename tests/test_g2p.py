@@ -417,6 +417,49 @@ class TestSyllabary:
         assert "".join(syllabify(pinyin, text)) == text
 
 
+    def test_an_empty_key_is_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            SyllableTable({"": (("a",), None), "a": (("a",), None)})
+
+
+def syllabify_by_length(table, text):
+    """Oracle: at each position, try every key length, longest first."""
+    lengths = sorted({len(key) for key in table.entries}, reverse=True)
+    syllables, pos = [], 0
+    while pos < len(text):
+        for width in lengths:
+            candidate = text[pos : pos + width]
+            if len(candidate) == width and candidate in table.entries:
+                syllables.append(candidate)
+                pos += width
+                break
+        else:
+            raise SegmentationError(text, pos)
+    return syllables
+
+
+# Few letters, so keys are prefixes of one another; regex metacharacters among them.
+SYLLABLE_TEXT = st.text(alphabet="ab.*|(?\\", min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(SYLLABLE_TEXT, max_size=8), st.text(alphabet="ab.*|(?\\x", max_size=12))
+@example({"a", "ab", "a.b", "."}, "a.bab.a")
+@example({"a|", "a", "("}, "a|(a")
+@example({"*", "**"}, "***x")
+@example(set(), "a")
+def test_syllabify_matches_the_longest_key_length_by_length(keys, text):
+    table = SyllableTable({key: ((IpaSegment("a"),), None) for key in keys})
+    try:
+        expected = syllabify_by_length(table, text)
+    except SegmentationError as exc:
+        with pytest.raises(SegmentationError) as info:
+            syllabify(table, text)
+        assert (info.value.text, info.value.offset) == (exc.text, exc.offset)
+    else:
+        assert syllabify(table, text) == expected
+
+
 class TestMergeTones:
     def test_merge_attaches_to_nucleus(self):
         assert merge_tones([IpaSegment("m"), IpaSegment("a")], "˥") == ["m", "a˥"]

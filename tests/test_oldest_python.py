@@ -1,8 +1,9 @@
-"""The oldest interpreter pyproject.toml supports writes the same corpus CSV as this one.
+"""The oldest interpreter pyproject.toml supports writes the same outputs as this one.
 
 Rule patterns (lookbehinds, ``\\A``/``\\Z`` anchors) and the csv module differ
-between interpreter versions, so ``corpus`` runs under both and its outputs
-are compared byte for byte. The test skips when no such interpreter starts.
+between interpreter versions, so ``corpus`` and a folding ``convert`` run under
+both and their outputs are compared byte for byte. The tests skip when no such
+interpreter starts.
 """
 
 import csv
@@ -87,3 +88,22 @@ def test_corpus_csv_is_the_same_under_the_oldest_supported_python(tmp_path):
     oldest = run_corpus(python, corpus, tmp_path / "oldest.csv")
     current = run_corpus(sys.executable, corpus, tmp_path / "current.csv")
     assert oldest == current
+
+
+def run_convert(python: str) -> tuple[int, bytes]:
+    """Fold already-phonemized lines: french.fold's two one-token rules are one dict pass."""
+    fixtures = ROOT / "tests" / "fixtures"
+    argv = ["convert", "--backend", "passthrough", "--keep_word_boundaries"]
+    argv += ["--fold", str(fixtures / "french.fold"), str(fixtures / "french_backend_output.txt")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([python, "-c", MAIN, *argv], env=env, capture_output=True, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+def test_folded_convert_output_is_the_same_under_the_oldest_supported_python():
+    python = oldest_python()
+    if python is None:
+        pytest.skip(f"no Python {OLDEST} interpreter starts here")
+    oldest = run_convert(python)
+    assert oldest == run_convert(sys.executable)
+    assert oldest[0] == 0 and oldest[1]
