@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
 from .errors import ConfigError, FormatError, PhonofoldError
-from .stream import IpaSegment, as_segments, atomic_paths, content_lines, open_text
+from .stream import IpaSegment, as_segments, atomic_paths, content_lines, csv_rows, open_text
 from .stream import parse_stream, read_text, segment_types
 
 INVENTORY_ENV = "PHONOFOLD_INVENTORY"
@@ -168,12 +168,9 @@ def _input_streams(path: str):
         if Path(path).suffix.lower() != ".csv":
             yield from map(parse_stream, handle)
             return
-        reader = csv.reader(handle)
-        try:  # around the whole loop: a try per row would slow every row down
-            at = _check_phonemized(path, next(reader, None))
-            yield from map(parse_stream, (row[at] if at < len(row) else "" for row in reader))
-        except csv.Error as exc:
-            raise FormatError(str(exc), source=path, line=reader.line_num) from None
+        rows = csv_rows(csv.reader(handle), path)
+        at = _check_phonemized(path, next(rows, None))
+        yield from map(parse_stream, (row[at] if at < len(row) else "" for row in rows))
 
 
 def _read_observed(path: str) -> set[IpaSegment]:
@@ -259,8 +256,8 @@ def cmd_corpus(args) -> int:
     _refuse_file_at(args.input, "--summary", summary_path)
     _refuse_file_at(args.output, "--summary", summary_path, "the --output file")
     with atomic_paths(args.output, summary_path) as (output_temp, summary_temp):
-        row_errors: list = []
-        records = list(corpus.read_corpus(args.input, args.schema, args.child_role, row_errors))
+        skipped: list = []  # (line number, problem) of each row the read skipped
+        records = list(corpus.read_corpus(args.input, args.schema, args.child_role, skipped))
         started = time.perf_counter()
         converted, summary = corpus.convert_corpus(
             records,
@@ -274,13 +271,15 @@ def cmd_corpus(args) -> int:
         if args.sort_by_age:
             converted = corpus.sort_by_age(converted)
         payload = summary.to_json()
-        payload["skipped_rows"] = len(row_errors)
+        payload["skipped_rows"] = len(skipped)
         payload["seconds"] = round(elapsed, 3)
         corpus.write_corpus(converted, output_temp, schema=args.schema)
         with open_text(summary_temp, "w") as handle:
             json.dump(payload, handle, ensure_ascii=False, indent=2)
-    print(f"{summary.rows} rows, {summary.errors} errors", file=sys.stderr)
-    return 1 if summary.errors or row_errors else 0
+    for line_num, problem in skipped:
+        print(f"line {line_num}: {problem}", file=sys.stderr)
+    print(f"{summary.rows} rows, {summary.errors} errors, {len(skipped)} skipped", file=sys.stderr)
+    return 1 if summary.errors or skipped else 0
 
 
 def cmd_stats(args) -> int:
@@ -303,13 +302,12 @@ def cmd_info(args) -> int:
         _refuse_file_at(args.input, "--output", sink)
     with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
         with open_text(args.input) as handle:
-            reader = csv.reader(handle)
-            try:
-                _check_phonemized(args.input, next(reader, None))
-            except csv.Error as exc:
-                raise FormatError(str(exc), source=args.input, line=reader.line_num) from None
-        records = corpus.read_corpus(args.input, args.schema, args.child_role)
+            _check_phonemized(args.input, next(csv_rows(csv.reader(handle), args.input), None))
+        skipped: list = []
+        records = corpus.read_corpus(args.input, args.schema, args.child_role, skipped)
         records = [r for r in records if not r.is_child]
+        for line_num, problem in skipped:
+            print(f"line {line_num}: {problem}", file=sys.stderr)
         points = analysis.info_by_age(
             records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed
         )

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 from .errors import FormatError, PhonofoldError
 from .folding import FoldMap, apply_fold
 from .g2p import convert_utterance
-from .stream import IpaSegment, emit_stream, open_text, segment_types
+from .stream import IpaSegment, csv_rows, emit_stream, open_text, segment_types
 
 AVERAGE_MONTH_DAYS = 30.44
 
@@ -119,10 +119,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
     held: list = []
     lines = (held.append(line) or line for line in handle)  # each line held as it is read
     reader = csv.reader(lines)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise FormatError(str(exc), source=name, line=reader.line_num) from None
+    header = next(csv_rows(reader, name), None)
     if header is None:
         raise FormatError("empty corpus file", source=name)
     width, at = len(header), column_positions(header)

@@ -465,6 +465,8 @@ def parse_lexicon(text: str, source: str = "<string>") -> Lexicon:
         if not word or " " in word:
             raise FormatError(f"bad lexicon word {parts[0]!r}", source=source, line=line_num)
         segments = as_segments(parts[1].split(), source, line_num)
+        if not segments:
+            raise FormatError("entry needs at least one segment", source=source, line=line_num)
         entries.setdefault(word, segments)
     return Lexicon(entries)
 

@@ -23,7 +23,7 @@ from typing import Collection, Iterable, Mapping
 
 from .chars import classify_segment, count_vowel_glyphs
 from .errors import FormatError, UnknownFeatureError, UnknownSegmentError
-from .stream import IpaSegment, as_segments, open_text
+from .stream import IpaSegment, as_segments, csv_rows, open_text
 
 REQUIRED_COLUMNS = ("InventoryID", "LanguageName", "ISO6393", "Phoneme", "SegmentClass")
 
@@ -142,12 +142,10 @@ def _records(lines, by_tail: Collection[str]):
 
 def _load(handle, name: str) -> list[Inventory]:
     lines = iter(handle)
-    try:
-        header = next(csv.reader(lines))
-    except StopIteration:
-        raise FormatError("empty inventory file", source=name) from None
-    except csv.Error as exc:
-        raise FormatError(str(exc), source=name, line=1) from None
+    reader = csv.reader(lines)
+    header = next(csv_rows(reader, name), None)
+    if header is None:
+        raise FormatError("empty inventory file", source=name)
     header = [col.strip() for col in header]
     for col in REQUIRED_COLUMNS:
         if col not in header:
@@ -162,12 +160,12 @@ def _load(handle, name: str) -> list[Inventory]:
     by_tail: dict[str, InventorySegment] = {}
     shared: dict[tuple, InventorySegment] = {}
     leads = {id_pos, language_pos, iso_pos} == {0, 1, 2}
-    records = _records(lines, by_tail) if leads else ((r, None) for r in csv.reader(lines))
+    records = _records(lines, by_tail) if leads else ((r, None) for r in reader)
 
     grouped: dict[int, tuple[str, str, dict]] = {}
-    line_num = 1
+    line_num = reader.line_num
     try:
-        for line_num, (row, tail) in enumerate(records, start=2):
+        for line_num, (row, tail) in enumerate(records, start=line_num + 1):
             inv_seg = by_tail.get(tail)  # a tail read before passed every check of its cells
             if inv_seg is None:
                 if not any(map(str.strip, row)):

@@ -25,6 +25,7 @@ of the process. ``as_segments`` reads the same table.
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import unicodedata
 from enum import Enum
@@ -90,6 +91,14 @@ def _text_handle(handle, mode: str, close: bool):
     finally:
         if close:
             handle.close()
+
+
+def csv_rows(reader, source) -> Iterator[list[str]]:
+    """A csv reader's rows; a csv.Error is a FormatError naming source and the reader's line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(str(exc), source=source, line=reader.line_num) from None
 
 
 def read_text(path) -> str:

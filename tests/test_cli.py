@@ -1224,3 +1224,100 @@ class TestOversizedCsvCell:
             csv.field_size_limit(limit)
         assert code == 2
         assert err == f"error: {source}: line 1: field larger than field limit (131072)\n"
+
+
+class TestLoadTimeErrors:
+    """A malformed input file fails as it loads: exit 2 and one error line naming it."""
+
+    CONVERT = ["convert", "--uncorrected", "--backend"]
+    FLAGS = {
+        "lexicon": [*CONVERT, "lexicon", "--lexicon"],
+        "table": [*CONVERT, "syllabary", "--table"],
+        "rules": [*CONVERT, "rules", "--rules"],
+        "inventory": ["match", "--inventory"],
+        "inventory-id": ["validate", "--inventory-id", "1", "--inventory"],
+        "config": ["stats", "--config"],
+    }
+    ANCHOR = "word-edge anchor only allowed at the outer context edge"
+    DUPLICATE = "duplicate romanization 'ma' (lines 1 and 2)"
+    INVENTORY = "InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass\n2,Toy,qaa,a,vowel\n"
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("lexicon", "cat\tk a t\tx\n", "{path}: line 1: expected 'word<TAB>segments'"),
+            ("lexicon", "two words\tt u\n", "{path}: line 1: bad lexicon word 'two words'"),
+            ("table", "ma\n", "{path}: line 1: expected 'romanization<TAB>segments[<TAB>tone]'"),
+            ("table", "\tm a\n", "{path}: line 1: empty romanization"),
+            ("table", "ma\tm a\nma\tm ɑ\n", "{path}: line 2: " + DUPLICATE),
+            ("rules", "pre:\nc -> s / a # _\n", "{path}: line 2: " + ANCHOR),
+            ("rules", "map:\nc -> k / _ e\n", "{path}: line 2: map entries take no context"),
+            ("inventory", "", "{path}: empty inventory file"),
+            ("inventory-id", INVENTORY, "inventory id 1 not found in {path}"),
+            ("config", "# run options\nworkers\n", "{path}: line 2: expected key = value"),
+            ("config", "workers = x\n", "{path}: line 1: workers: bad value 'x'"),
+        ],
+        ids=[
+            "lexicon-columns",
+            "lexicon-word",
+            "table-columns",
+            "table-key",
+            "table-duplicate",
+            "rule-anchor",
+            "rule-map-context",
+            "inventory-empty",
+            "inventory-id",
+            "config-separator",
+            "config-value",
+        ],
+    )
+    def test_names_the_file_and_line(self, flag, text, message, capsys, tmp_path):
+        path = tmp_path / f"bad.{flag}"
+        path.write_text(text, encoding="utf-8")
+        lines = tmp_path / "lines.txt"
+        lines.write_text("cat dog\n", encoding="utf-8")
+        code, out, err = run(capsys, *self.FLAGS[flag], str(path), str(lines))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(path=path)}\n"
+
+    def test_a_lexicon_entry_with_no_segments(self, capsys, tmp_path):
+        """Loaded, such an entry would turn ``cat dog`` into ``d ɔ g`` with no error."""
+        lexicon = tmp_path / "empty.lex"
+        lexicon.write_text("cat\t\ndog\td ɔ g\n", encoding="utf-8")
+        lines = tmp_path / "lines.txt"
+        lines.write_text("cat dog\n", encoding="utf-8")
+        code, out, err = run(capsys, *self.FLAGS["lexicon"], str(lexicon), str(lines))
+        assert (code, out) == (2, "")
+        assert err == f"error: {lexicon}: line 1: entry needs at least one segment\n"
+
+
+def with_short_row(source: Path, target: Path) -> Path:
+    """A copy of a CSV with its second data row cut to two cells."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:2])
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
+class TestSkippedRowsAreListed:
+    """``corpus`` and ``info`` print each row they skip on stderr, as ``convert`` prints a line."""
+
+    def test_corpus(self, capsys, fixtures, tmp_path):
+        source = with_short_row(fixtures / "corpus_small.csv", tmp_path / "in.csv")
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected", "--input", str(source)]
+        code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert err == "line 3: row does not match header\n2 rows, 0 errors, 1 skipped\n"
+
+    def test_corpus_with_nothing_skipped(self, capsys, fixtures, tmp_path):
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected"]
+        argv += ["--input", str(fixtures / "corpus_small.csv")]
+        code, _, err = run(capsys, *argv, "--output", str(tmp_path / "out.csv"))
+        assert (code, err) == (0, "3 rows, 0 errors, 0 skipped\n")
+
+    def test_info(self, capsys, tmp_path):
+        source = with_short_row(curve_corpus(tmp_path), tmp_path / "in.csv")
+        code, out, err = run(capsys, "info", str(source))
+        assert code == 0
+        assert err == "line 3: row does not match header\n"
+        assert out.splitlines()[1].endswith(",29")

@@ -117,6 +117,24 @@ class TestCsvErrorLine:
         with pytest.raises(FormatError, match="^<file>: line 1: new-line character seen"):
             load_csv("InventoryID,Language\rName\n")
 
+    def test_in_a_header_cell_that_spans_lines(self):
+        """The quoted last cell runs over lines 1-3 and passes the limit on line 3."""
+        text = HEADER.rstrip("\n") + ',"notes\n' + "n" * 10 + "\n" + "n" * 40 + '"\n'
+        limit = csv.field_size_limit(40)
+        try:
+            message = r"^<file>: line 3: field larger than field limit \(40\)$"
+            with pytest.raises(FormatError, match=message):
+                load_csv(text + "1,Toy,qaa,a,vowel,+,+,x\n")
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("layout", [LEADING, TRAILING], ids=["leading", "trailing"])
+    def test_a_record_after_a_two_line_header(self, layout):
+        header, row = layout
+        header = header.replace("voiced", '"voi\nced"')
+        with pytest.raises(FormatError, match="^<file>: line 3: bad InventoryID 'x1'$"):
+            load_csv(header + row.format(id="x1", name="Toy"))
+
 
 class TestRepeatedRowTail:
     """A row that repeats an earlier row's text after its third comma keeps its own checks."""

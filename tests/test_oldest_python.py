@@ -1,9 +1,9 @@
 """The oldest interpreter pyproject.toml supports writes the same outputs as this one.
 
 Rule patterns (lookbehinds, ``\\A``/``\\Z`` anchors) and the csv module differ
-between interpreter versions, so ``corpus`` and a folding ``convert`` run under
-both and their outputs are compared byte for byte. The tests skip when no such
-interpreter starts.
+between interpreter versions, so ``corpus``, a folding ``convert`` and the
+commands that read a converted corpus CSV run under both, and their outputs are
+compared byte for byte. The tests skip when no such interpreter starts.
 """
 
 import csv
@@ -66,13 +66,16 @@ def write_corpus(path: Path) -> None:
             out.writerow([f"u{i}", "t1", "c1", "col1", role, age, " ".join(words)])
 
 
+def run_cli(python: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([python, "-c", MAIN, *argv], env=env, capture_output=True, timeout=300)
+
+
 def run_corpus(python: str, corpus: Path, out: Path) -> tuple[bytes, dict]:
     fixtures = ROOT / "tests" / "fixtures"
     argv = ["corpus", "--backend", "rules", "--rules", str(fixtures / "anchored.rules")]
     argv += ["--fold", str(fixtures / "french.fold"), "--workers", "1"]
-    argv += ["--input", str(corpus), "--output", str(out)]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([python, "-c", MAIN, *argv], env=env, capture_output=True, timeout=300)
+    proc = run_cli(python, *argv, "--input", str(corpus), "--output", str(out))
     assert proc.returncode == 0, proc.stderr.decode()
     summary = json.loads(Path(f"{out}.summary.json").read_text(encoding="utf-8"))
     summary.pop("seconds")
@@ -95,8 +98,7 @@ def run_convert(python: str) -> tuple[int, bytes]:
     fixtures = ROOT / "tests" / "fixtures"
     argv = ["convert", "--backend", "passthrough", "--keep_word_boundaries"]
     argv += ["--fold", str(fixtures / "french.fold"), str(fixtures / "french_backend_output.txt")]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([python, "-c", MAIN, *argv], env=env, capture_output=True, timeout=300)
+    proc = run_cli(python, *argv)
     return proc.returncode, proc.stdout
 
 
@@ -107,3 +109,29 @@ def test_folded_convert_output_is_the_same_under_the_oldest_supported_python():
     oldest = run_convert(python)
     assert oldest == run_convert(sys.executable)
     assert oldest[0] == 0 and oldest[1]
+
+
+def run_readers(python: str, converted: Path) -> list[tuple[int, bytes]]:
+    """Exit code and stdout of each command that reads a converted corpus CSV."""
+    inventory = ["--inventory", str(ROOT / "tests" / "fixtures" / "french_inventory.csv")]
+    argvs = [
+        ["stats", "--json", str(converted)],
+        ["info", str(converted)],
+        ["validate", "--json", *inventory, "--inventory-id", "2269", str(converted)],
+        ["match", "--top", "3", *inventory, str(converted)],
+    ]
+    return [(proc.returncode, proc.stdout) for proc in (run_cli(python, *a) for a in argvs)]
+
+
+def test_readers_of_a_converted_corpus_are_the_same_under_the_oldest_supported_python(tmp_path):
+    python = oldest_python()
+    if python is None:
+        pytest.skip(f"no Python {OLDEST} interpreter starts here")
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(corpus)
+    converted = tmp_path / "converted.csv"
+    run_corpus(sys.executable, corpus, converted)
+    oldest = run_readers(python, converted)
+    assert oldest == run_readers(sys.executable, converted)
+    assert [code for code, _ in oldest] == [0, 0, 1, 0]  # validate: the map leaves unknowns
+    assert all(out for _, out in oldest)
