@@ -15,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import UnseenSymbolError
+from .errors import FormatError, UnseenSymbolError
 from .inventory import Inventory, TernaryValue
-from .stream import IpaSegment, PhonemeStream, open_text, parse_stream
+from .stream import IpaSegment, PhonemeStream, csv_rows, open_text, parse_stream
 
 # numpy is imported inside the three functions that use it, so a command
 # that never reaches them does not pay for loading it.
@@ -227,17 +227,41 @@ class LabeledVectorSet:
 
 
 def load_labeled_vectors(source, label_column: str = "label") -> LabeledVectorSet:
-    """Read a LabeledVectorSet from CSV: one label column, the rest numeric."""
+    """Read a LabeledVectorSet from CSV: one label column, the rest numeric; blank lines skip.
+
+    A header without the label column, a row whose cell count is not the header's, and a
+    cell that is not a number are each a FormatError naming the file and line.
+    """
     import numpy as np
 
+    labels, vectors = [], []
     with open_text(source) as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows:
+        name = getattr(handle, "name", "<file>")
+        reader = csv.reader(handle)
+        rows = csv_rows(reader, name)
+        header = next(rows, [])
+        at = {column: i for i, column in enumerate(header)}  # of two alike, the last
+        if header and label_column not in at:
+            message = f"missing column {label_column!r}"
+            raise FormatError(message, source=name, line=reader.line_num)
+        label_at = at.pop(label_column, None)
+        for row in rows:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError("row does not match header", source=name, line=reader.line_num)
+            vector = []
+            for column, i in at.items():
+                try:
+                    vector.append(float(row[i]))
+                except ValueError:
+                    message = f"bad number {row[i]!r} in column {column!r}"
+                    raise FormatError(message, source=name, line=reader.line_num) from None
+            labels.append(row[label_at])
+            vectors.append(vector)
+    if not labels:
         raise ValueError("no vector rows")
-    numeric = [c for c in rows[0] if c != label_column]
-    labels = tuple(row[label_column] for row in rows)
-    vectors = np.array([[float(row[c]) for c in numeric] for row in rows])
-    return LabeledVectorSet(vectors, labels)
+    return LabeledVectorSet(np.array(vectors), tuple(labels))
 
 
 def silhouette(data: LabeledVectorSet, metric: str = "euclidean") -> float:

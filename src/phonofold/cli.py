@@ -17,6 +17,7 @@ import os
 import stat
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
@@ -301,11 +302,15 @@ def cmd_info(args) -> int:
     if sink is not sys.stdout:
         _refuse_file_at(args.input, "--output", sink)
     with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
-        with open_text(args.input) as handle:
-            _check_phonemized(args.input, next(csv_rows(csv.reader(handle), args.input), None))
         skipped: list = []
-        records = corpus.read_corpus(args.input, args.schema, args.child_role, skipped)
-        records = [r for r in records if not r.is_child]
+        with open_text(args.input) as handle:  # opened once, so that a pipe can be read
+            head: list = []  # the header's lines, read again by the corpus reader
+            lines = (head.append(line) or line for line in handle)
+            _check_phonemized(args.input, next(csv_rows(csv.reader(lines), args.input), None))
+            records = corpus._read(
+                chain(head, handle), args.input, args.schema, args.child_role, skipped
+            )
+            records = [r for r in records if not r.is_child]
         for line_num, problem in skipped:
             print(f"line {line_num}: {problem}", file=sys.stderr)
         points = analysis.info_by_age(

@@ -18,6 +18,7 @@ import csv
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -124,20 +125,22 @@ def load_inventories(source) -> list[Inventory]:
         return _load(handle, getattr(handle, "name", "<file>"))
 
 
-def _records(lines, by_tail: Collection[str]):
-    """Yield ``(row, tail)`` per record, split at the third comma where the tail is in by_tail."""
-    limit, pushed = csv.field_size_limit(), []  # pushed: a line handed back to the reader
-    reader = csv.reader(iter(lambda: pushed.pop() if pushed else next(lines, ""), ""))
+def _records(lines, known: Collection[str], name: str, line_num: int):
+    """Yield ``(line, row, tail)`` per record after line ``line_num``: its last line, its cells,
+    and the text after its third comma if ``known`` holds that text (else None)."""
+    limit = csv.field_size_limit()
     for line in lines:
+        line_num += 1
         row = line.split(",", 3)
         head = line[: len(line) - len(row[-1])]  # split only where csv reads the same 3 cells
         plain = not ('"' in head or "\0" in head or "\r" in head or len(head) > limit)
         tail = row[3] if len(row) == 4 and plain else None
-        if tail not in by_tail:  # the csv reader reads the record that starts at this line
-            pushed.append(line)
-            read, row = reader.line_num, next(reader)
-            tail = None if reader.line_num > read + 1 else tail  # None: it ran past this line
-        yield row, tail
+        if tail not in known:  # the csv module reads the record that starts at this line
+            reader = csv.reader(chain((line,), lines))
+            row = next(csv_rows(reader, name, line_num - 1))
+            if reader.line_num > 1:  # it read on past this line: the tail is not the row's
+                tail, line_num = None, line_num + reader.line_num - 1
+        yield line_num, row, tail
 
 
 def _load(handle, name: str) -> list[Inventory]:
@@ -154,59 +157,54 @@ def _load(handle, name: str) -> list[Inventory]:
     feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
     feature_positions = [header.index(col) for col in feature_names]
     key_of = operator.itemgetter(phoneme_pos, class_pos, *feature_positions)
-    # One features mapping per cell tuple and one InventorySegment per row tail, or per
-    # (phoneme, class, cells) for a row read without one, shared across inventories.
+    # One InventorySegment per row tail, or per (phoneme, class, cells) for a row read without
+    # one: a tail row keeps no tuple of its cells, and a str key never equals a tuple key.
     decoded: dict[tuple, Mapping[str, TernaryValue]] = {}
-    by_tail: dict[str, InventorySegment] = {}
-    shared: dict[tuple, InventorySegment] = {}
+    shared: dict[str | tuple, InventorySegment] = {}
     leads = {id_pos, language_pos, iso_pos} == {0, 1, 2}
-    records = _records(lines, by_tail) if leads else ((r, None) for r in reader)
+    numbered = ((reader.line_num, row, None) for row in csv_rows(reader, name))
+    records = _records(lines, shared, name, reader.line_num) if leads else numbered
 
     grouped: dict[int, tuple[str, str, dict]] = {}
-    line_num = reader.line_num
-    try:
-        for line_num, (row, tail) in enumerate(records, start=line_num + 1):
-            inv_seg = by_tail.get(tail)  # a tail read before passed every check of its cells
-            if inv_seg is None:
-                if not any(map(str.strip, row)):
-                    continue
-                if len(row) < len(header):
-                    message = "row has fewer cells than the header"
-                    raise FormatError(message, source=name, line=line_num)
-            try:
-                inv_id = int(row[id_pos])
-            except ValueError:
-                raise FormatError(
-                    f"bad InventoryID {row[id_pos]!r}", source=name, line=line_num
-                ) from None
-            if inv_seg is None:
-                key = key_of(row)
-                inv_seg = shared.get(key)
-                if inv_seg is None:  # first row with this phoneme, class and cells: check them
-                    seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
-                    if seg_class not in SEGMENT_CLASSES:
-                        message = f"unknown SegmentClass {seg_class!r}"
-                        raise FormatError(message, source=name, line=line_num)
-                    (segment,) = as_segments([seg_text], name, line_num)
-                    if cells not in decoded:
-                        decoded[cells] = MappingProxyType(
-                            dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
-                        )
-                    inv_seg = InventorySegment(segment, seg_class, decoded[cells])
-                    if tail is None:  # by_tail alone finds a segment read with a tail
-                        shared[key] = inv_seg
-                if tail is not None:
-                    by_tail[tail] = inv_seg
-            if inv_id not in grouped:
-                grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
-            inv_segments = grouped[inv_id][2]
-            segment = inv_seg.segment
-            if segment in inv_segments:
-                message = f"duplicate segment {segment!r} in inventory {inv_id}"
+    for line_num, row, tail in records:
+        inv_seg = shared.get(tail)  # a tail read before passed every check of its cells
+        if inv_seg is None:
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) < len(header):
+                message = "row has fewer cells than the header"
                 raise FormatError(message, source=name, line=line_num)
-            inv_segments[segment] = inv_seg
-    except csv.Error as exc:  # raised reading the record after line_num's
-        raise FormatError(str(exc), source=name, line=line_num + 1) from None
+        try:
+            inv_id = int(row[id_pos])
+        except ValueError:
+            raise FormatError(
+                f"bad InventoryID {row[id_pos]!r}", source=name, line=line_num
+            ) from None
+        if inv_seg is None:
+            key = key_of(row)
+            inv_seg = shared.get(key)
+            if inv_seg is None:  # first row with this phoneme, class and cells: check them
+                seg_text, seg_class, cells = key[0].strip(), key[1].strip().lower(), key[2:]
+                if seg_class not in SEGMENT_CLASSES:
+                    message = f"unknown SegmentClass {seg_class!r}"
+                    raise FormatError(message, source=name, line=line_num)
+                (segment,) = as_segments([seg_text], name, line_num)
+                if cells not in decoded:
+                    decoded[cells] = MappingProxyType(
+                        dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
+                    )
+                inv_seg = InventorySegment(segment, seg_class, decoded[cells])
+                shared[key if tail is None else tail] = inv_seg
+            elif tail is not None:  # a segment first read without a tail
+                shared[tail] = inv_seg
+        if inv_id not in grouped:
+            grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
+        inv_segments = grouped[inv_id][2]
+        segment = inv_seg.segment
+        if segment in inv_segments:
+            message = f"duplicate segment {segment!r} in inventory {inv_id}"
+            raise FormatError(message, source=name, line=line_num)
+        inv_segments[segment] = inv_seg
 
     return [
         Inventory(inv_id, language, iso, tuple(inv_segments.values()))

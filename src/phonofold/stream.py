@@ -72,11 +72,13 @@ class IpaSegment(str):
 def open_text(source, mode: str = "r"):
     """A context manager over a text handle: an open handle as is, a path opened now as UTF-8.
 
-    Reading text that is not UTF-8 in the block is a FormatError naming the file.
+    A path read drops a leading byte-order mark, and one written gets none. Reading text
+    that is not UTF-8 in the block is a FormatError naming the file.
     """
     if hasattr(source, "read") or hasattr(source, "write"):
         return _text_handle(source, mode, close=False)
-    return _text_handle(open(source, mode, encoding="utf-8", newline=""), mode, close=True)
+    encoding = "utf-8-sig" if "r" in mode else "utf-8"
+    return _text_handle(open(source, mode, encoding=encoding, newline=""), mode, close=True)
 
 
 @contextlib.contextmanager
@@ -93,12 +95,13 @@ def _text_handle(handle, mode: str, close: bool):
             handle.close()
 
 
-def csv_rows(reader, source) -> Iterator[list[str]]:
-    """A csv reader's rows; a csv.Error is a FormatError naming source and the reader's line."""
+def csv_rows(reader, source, offset: int = 0) -> Iterator[list[str]]:
+    """A csv reader's rows; a csv.Error is a FormatError naming source and the reader's line,
+    counted on from ``offset``, the lines read before the reader's first."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise FormatError(str(exc), source=source, line=reader.line_num) from None
+        raise FormatError(str(exc), source=source, line=offset + reader.line_num) from None
 
 
 def read_text(path) -> str:

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonofold.analysis import (
@@ -22,7 +23,7 @@ from phonofold.analysis import (
     utterance_information,
 )
 from phonofold.corpus import UtteranceRecord
-from phonofold.errors import UnseenSymbolError
+from phonofold.errors import FormatError, UnseenSymbolError
 from phonofold.inventory import load_inventories
 from phonofold.stream import parse_stream
 
@@ -342,6 +343,71 @@ class TestSilhouette:
         assert silhouette(data) == pytest.approx(
             silhouette_oracle(data.vectors.tolist(), list(data.labels)), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label,x,y\nL,0,0\n\nR,9\n", "line 4: row does not match header"),
+            ("label,x,y\nL,0,0\nR,9,q\n", "line 3: bad number 'q' in column 'y'"),
+            ('"lab\nel",x\nL,0\n', "line 2: missing column 'label'"),
+        ],
+        ids=["short-row", "not-a-number", "no-label-column"],
+    )
+    def test_csv_errors_name_the_file_and_line(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            load_labeled_vectors(io.StringIO(text))
+        assert str(raised.value) == "<file>: " + message
+
+
+def dict_reader_vectors(text, label_column="label"):
+    """The DictReader loader, kept as the reference for ``load_labeled_vectors``."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    if not rows:
+        raise ValueError("no vector rows")
+    numeric = [c for c in rows[0] if c != label_column]
+    labels = tuple(row[label_column] for row in rows)
+    return LabeledVectorSet(np.array([[float(row[c]) for c in numeric] for row in rows]), labels)
+
+
+NUMBERS = ["0", "-1.5", " 2 ", "1e3", "+7", "inf", "0.1"]
+
+
+@st.composite
+def vector_csvs(draw):
+    """A labeled-vector CSV that DictReader reads whole: unique column names, full rows.
+
+    Labels may hold a comma, a quote or a newline; blank lines are mixed in, lines end
+    in LF or CRLF, and the last may have no line ending.
+    """
+    numeric = draw(st.lists(st.sampled_from(["x", "y", "z", "w 1", "x,2"]), unique=True))
+    header = draw(st.permutations(["label", *numeric]))
+    labels = st.sampled_from(["L", "R", "a,b", 'q"t', "two\nlines", ""])
+    rows = [
+        [draw(labels) if column == "label" else draw(st.sampled_from(NUMBERS)) for column in header]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    out = io.StringIO()
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    csv.writer(out, lineterminator=line_end).writerows([header, *rows])
+    text = out.getvalue()
+    return text[: -len(line_end)] if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_csvs())
+def test_labeled_vectors_load_as_the_dict_reader_did(text):
+    try:
+        expected = dict_reader_vectors(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            load_labeled_vectors(io.StringIO(text))
+        return
+    got = load_labeled_vectors(io.StringIO(text))
+    assert got.labels == expected.labels
+    assert got.vectors.shape == expected.vectors.shape
+    assert (got.vectors == expected.vectors).all()
 
 
 @given(

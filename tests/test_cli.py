@@ -607,6 +607,20 @@ class TestStatsAndInfo:
         assert [p.name for p in tmp_path.iterdir()] == [source.name]
         assert source.read_bytes() == original
 
+    @pytest.mark.parametrize("rows", [2, 3000])
+    def test_info_reads_a_pipe_as_it_reads_the_path(self, tmp_path, rows):
+        corpus_csv = tmp_path / "converted.csv"
+        header = "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss,"
+        lines = [f"u{i},t,c,col,MOT,{6 + i % 20},x,{'ab'[i % 2]} a\n" for i in range(rows)]
+        text = header + "phonemized\n" + "".join(lines)
+        corpus_csv.write_text(text, encoding="utf-8")
+        by_path = popen_cli("info", str(corpus_csv))
+        piped = popen_cli("info", "/dev/stdin", stdin=subprocess.PIPE)
+        out, err = piped.communicate(text, timeout=60)
+        assert (piped.returncode, err) == (0, "")
+        assert out == by_path.communicate(timeout=60)[0]
+        assert out.startswith("age_bucket,mean_information,n_utterances\n")
+
     def test_info_two_buckets(self, capsys, tmp_path):
         corpus_csv = tmp_path / "converted.csv"
         corpus_csv.write_text(
@@ -956,6 +970,76 @@ class TestUndecodableFiles:
         assert_clean_error(popen_cli(*argv, "--output", str(output)), str(bad), "not UTF-8")
         assert output.read_text(encoding="utf-8") == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "out.txt"]
+
+
+CONVERTED = (
+    "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss,phonemized\n"
+    "u1,t,c,col,MOT,6,x,a b\nu2,t,c,col,MOT,18,x,b a a\n"
+)
+CHA = "--backend rules --rules {rules} --uncorrected"
+CONFIG = "backend = rules\nrules = {rules}\nuncorrected = true\n"
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same file without one."""
+
+    @pytest.mark.parametrize(
+        "name, text, command",
+        [
+            ("streams.txt", "a b a\nb a\n", "stats {file} --json"),
+            ("converted.csv", "phonemized,gloss\na b,x\nb a a,y\n", "stats {file}"),
+            ("cha.rules", None, "convert --backend rules --rules {file} --uncorrected {words}"),
+            ("words.txt", "cha cha\nchat\n", "convert " + CHA + " {file}"),
+            ("corpus_small.csv", None, "corpus " + CHA + " --input {file} --output {out}"),
+            ("converted.csv", CONVERTED, "info {file}"),
+            (
+                "french_inventory.csv",
+                None,
+                "validate --json --inventory {file} --inventory-id 2269 {observed}",
+            ),
+            ("toy_inventories.csv", None, "match --inventory {file} {words}"),
+            ("dirty.fold", "a -> b\nb -> c\n", "check-map {file}"),
+            ("run.cfg", CONFIG, "convert --config {file} {words}"),
+        ],
+        ids=[
+            "stats-text",
+            "stats-csv",
+            "rule-file",
+            "convert-input",
+            "corpus",
+            "info",
+            "validate",
+            "match",
+            "check-map",
+            "config",
+        ],
+    )
+    def test_gives_the_same_output(self, capsys, fixtures, tmp_path, name, text, command):
+        words = tmp_path / "words.txt"
+        words.write_text("a b\n", encoding="utf-8")
+        rules = fixtures / "cha.rules"
+        text = (fixtures / name).read_text(encoding="utf-8") if text is None else text
+        text = text.replace("{rules}", str(rules))
+        outcomes = []
+        for mark in ("", "\ufeff"):
+            folder = tmp_path / ("marked" if mark else "plain")
+            folder.mkdir()
+            values = {
+                "rules": rules,
+                "words": words,
+                "observed": fixtures / "french_backend_output.txt",
+                "out": folder / "out.csv",
+                "file": folder / name,
+            }
+            values["file"].write_text(mark + text, encoding="utf-8")
+            code, out, _ = run(capsys, *(arg.format(**values) for arg in command.split()))
+            written = [code, out]
+            if command.startswith("corpus"):
+                summary = json.loads((folder / "out.csv.summary.json").read_text("utf-8"))
+                del summary["seconds"]
+                written += [(folder / "out.csv").read_bytes(), summary]
+            outcomes.append(written)
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] in (0, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import re
 
 import pytest
@@ -135,6 +134,21 @@ class TestCsvErrorLine:
         with pytest.raises(FormatError, match="^<file>: line 3: bad InventoryID 'x1'$"):
             load_csv(header + row.format(id="x1", name="Toy"))
 
+    @pytest.mark.parametrize("layout", [LEADING, TRAILING], ids=["leading", "trailing"])
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ({"id": "x1", "name": "Toy"}, "bad InventoryID 'x1'$"),
+            ({"id": 3, "name": "To\ry"}, "new-line character seen"),
+        ],
+        ids=["bad-id", "csv-error"],
+    )
+    def test_the_line_after_two_two_line_records(self, layout, last, message):
+        header, row = layout
+        records = row.format(id=1, name='"To\ny"') + row.format(id=2, name='"To\ny"')
+        with pytest.raises(FormatError, match="^<file>: line 6: " + message):
+            load_csv(header + records + row.format(**last))
+
 
 class TestRepeatedRowTail:
     """A row that repeats an earlier row's text after its third comma keeps its own checks."""
@@ -191,7 +205,7 @@ class TestRepeatedRowTail:
     def test_a_record_over_two_lines_is_read_whole_and_counted_once(self):
         record = '{},Toy,qaa,a,vowel,"+\n",+\n'
         text = HEADER + record.format(1) + record.format(2) + "x1,Toy,qaa,b,vowel,+,+\n"
-        with pytest.raises(FormatError, match="^<file>: line 4: bad InventoryID 'x1'$"):
+        with pytest.raises(FormatError, match="^<file>: line 6: bad InventoryID 'x1'$"):
             load_csv(text)
         invs = load_csv(HEADER + record.format(1) + record.format(2))
         assert [feature_of(inv, "a", "syllabic") for inv in invs] == [TernaryValue.PLUS] * 2
@@ -310,8 +324,8 @@ def eager_load_oracle(text):
     """The one-dict-per-row loader, kept as the reference for ``load_inventories``.
 
     Every row builds its own IpaSegment and its own feature dict, each cell
-    decoded with the plain if-chain. A csv.Error becomes a FormatError at the
-    line of the record it was raised reading.
+    decoded with the plain if-chain. A record, and a csv.Error raised reading
+    one, is numbered by ``reader.line_num``: the record's last line.
     """
 
     def from_cell(cell):
@@ -326,22 +340,22 @@ def eager_load_oracle(text):
     reader = csv.reader(io.StringIO(text))
 
     def read_records():
-        for line_num in itertools.count(1):
+        while True:
             try:
                 row = next(reader)
             except StopIteration:
                 return
             except csv.Error as exc:
-                raise FormatError(str(exc), source=name, line=line_num) from None
-            yield row
+                raise FormatError(str(exc), source=name, line=reader.line_num) from None
+            yield reader.line_num, row
 
     records = read_records()
-    header = [col.strip() for col in next(records)]
+    header = [col.strip() for col in next(records)[1]]
     positions = {col: header.index(col) for col in REQUIRED_COLUMNS}
     feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
     feature_positions = [header.index(col) for col in feature_names]
     grouped = {}
-    for line_num, row in enumerate(records, start=2):
+    for line_num, row in records:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < len(header):

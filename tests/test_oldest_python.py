@@ -1,9 +1,10 @@
 """The oldest interpreter pyproject.toml supports writes the same outputs as this one.
 
 Rule patterns (lookbehinds, ``\\A``/``\\Z`` anchors) and the csv module differ
-between interpreter versions, so ``corpus``, a folding ``convert`` and the
-commands that read a converted corpus CSV run under both, and their outputs are
-compared byte for byte. The tests skip when no such interpreter starts.
+between interpreter versions, so ``corpus``, a folding ``convert``, the
+commands that read a converted corpus CSV and an inventory error's line number
+run under both, and their outputs are compared byte for byte. The tests skip
+when no such interpreter starts.
 """
 
 import csv
@@ -135,3 +136,26 @@ def test_readers_of_a_converted_corpus_are_the_same_under_the_oldest_supported_p
     assert oldest == run_readers(sys.executable, converted)
     assert [code for code, _ in oldest] == [0, 0, 1, 0]  # validate: the map leaves unknowns
     assert all(out for _, out in oldest)
+
+
+def test_an_inventory_error_names_the_same_line_under_the_oldest_supported_python(tmp_path):
+    """The id after two records that each span two lines is on line 6."""
+    python = oldest_python()
+    if python is None:
+        pytest.skip(f"no Python {OLDEST} interpreter starts here")
+    record = '{},Toy,qaa,a,vowel,"+\n"\n'
+    inventory = tmp_path / "inventory.csv"
+    inventory.write_text(
+        "InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass,syllabic\n"
+        + record.format(1)
+        + record.format(2)
+        + "x1,Toy,qaa,b,vowel,+\n",
+        encoding="utf-8",
+    )
+    observed = tmp_path / "observed.txt"
+    observed.write_text("a\n", encoding="utf-8")
+    argv = ["validate", "--json", "--inventory", str(inventory), "--inventory-id", "1"]
+    oldest, current = (run_cli(p, *argv, str(observed)) for p in (python, sys.executable))
+    assert (oldest.returncode, oldest.stderr) == (current.returncode, current.stderr)
+    message = f"error: {inventory}: line 6: bad InventoryID 'x1'\n"
+    assert (oldest.returncode, oldest.stderr.decode()) == (2, message)
