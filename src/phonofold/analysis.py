@@ -13,11 +13,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, filterfalse
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FormatError, UnseenSymbolError
 from .inventory import Inventory, TernaryValue
-from .stream import IpaSegment, PhonemeStream, csv_rows, open_text, parse_stream
+from .stream import IpaSegment, PhonemeStream, coerce_token, csv_rows, open_text
 
 # numpy is imported inside the three functions that use it, so a command
 # that never reaches them does not pay for loading it.
@@ -108,37 +111,42 @@ def info_by_age(
     Records need an age and a phonemized stream with at least one segment;
     others are skipped, and empty buckets are omitted. ``pooled`` estimates
     probabilities from all (sampled) data, otherwise per bucket. Sampling is
-    per bucket and only happens when ``sample_size`` is given.
+    per bucket and only happens when ``sample_size`` is given. Each distinct token text is
+    costed once (a boundary: 0.0); a cell's costs, added left to right, are its bits.
     """
-    buckets: dict[int, list[PhonemeStream]] = {}
+    segments: dict[str, IpaSegment | None] = {}  # token text -> its segment; None: a boundary
+    buckets: dict[int, list[str]] = {}
     for record in records:
         age = getattr(record, "target_child_age", None)
         phonemized = getattr(record, "phonemized", None)
         if age is None or not phonemized:
             continue
-        stream = parse_stream(phonemized)
-        if not any(isinstance(t, IpaSegment) for t in stream):
-            continue
-        buckets.setdefault(int(age // 12), []).append(stream)
+        texts = phonemized.split()
+        for text in filterfalse(segments.__contains__, texts):  # first sights, in file order
+            segments[text] = tok if isinstance(tok := coerce_token(text), IpaSegment) else None
+        if any(map(segments.__getitem__, texts)):
+            buckets.setdefault(int(age // 12), []).append(phonemized)
 
     if sample_size is not None:
         rng = random.Random(seed)
-        for bucket, streams in sorted(buckets.items()):
-            if len(streams) > sample_size:
-                buckets[bucket] = rng.sample(streams, sample_size)
+        for bucket, cells in sorted(buckets.items()):
+            if len(cells) > sample_size:
+                buckets[bucket] = rng.sample(cells, sample_size)
 
-    if not buckets:
-        return []
+    def costs(cells) -> dict[str, float]:
+        by_text = Counter(chain.from_iterable(map(str.split, cells)))
+        counts: Counter = Counter()  # by segment, so that two spellings of one are merged
+        for text, count in by_text.items():
+            counts[segments[text]] += count
+        total = counts.total() - counts[None]
+        return {t: -math.log2(counts[s] / total) if (s := segments[t]) else 0.0 for t in by_text}
 
-    pooled_model = None
-    if pooled:
-        pooled_model = build_unigram(s for streams in buckets.values() for s in streams)
-
+    pooled_costs = costs(chain.from_iterable(buckets.values())) if pooled else None
     points = []
-    for bucket, streams in sorted(buckets.items()):
-        model = pooled_model if pooled else build_unigram(streams)
-        mean = sum(utterance_information(model, s) for s in streams) / len(streams)
-        points.append(InfoCurvePoint(bucket, mean, len(streams)))
+    for bucket, cells in sorted(buckets.items()):
+        cost = (pooled_costs if pooled else costs(cells)).__getitem__
+        bits = [reduce(add, map(cost, cell.split()), 0.0) for cell in cells]
+        points.append(InfoCurvePoint(bucket, sum(bits) / len(cells), len(cells)))
     return points
 
 

@@ -215,6 +215,8 @@ def cmd_convert(args) -> int:
             _refuse_file_at(lines, "--output", sink)
         with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
             for line_num, line in enumerate(lines, start=1):
+                if line_num == 1 and source is sys.stdin:  # open_text drops a path's BOM
+                    line = line.removeprefix("\ufeff")
                 phonemized, error, *_ = corpus.convert_text(
                     line.rstrip("\n"), backend, fold_map, args.keep_word_boundaries
                 )

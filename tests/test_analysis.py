@@ -25,7 +25,9 @@ from phonofold.analysis import (
 from phonofold.corpus import UtteranceRecord
 from phonofold.errors import FormatError, UnseenSymbolError
 from phonofold.inventory import load_inventories
-from phonofold.stream import parse_stream
+from phonofold.stream import UTT_BOUNDARY, WORD_BOUNDARY, parse_stream
+
+from stream_oracle import stream_info_by_age
 
 
 def streams(*lines):
@@ -144,6 +146,51 @@ class TestInfoByAge:
         second = info_by_age(records, sample_size=3, seed=11)
         assert first == second
         assert all(p.n_utterances == 3 for p in first)
+
+    def test_one_segment_type_is_positive_zero_bits(self):
+        points = info_by_age([record(3.0, "a WORD_BOUNDARY a"), record(15.0, "a")])
+        assert [repr(p.mean_information) for p in points] == ["0.0", "0.0"]
+
+
+# NFC and NFD spellings of one segment, and both boundary literals.
+INFO_TEXTS = ["a", "tʃ", "\u00e9", "e\u0301", WORD_BOUNDARY, UTT_BOUNDARY]
+# Texts that are no segment, each with its own error text: the first one read raises.
+BAD_TEXTS = ["a\ud800b", "\udfff", "x\ud900"]
+
+
+@st.composite
+def info_corpora(draw):
+    """Records with some, none or only boundary tokens; a few alphabets hold one segment type."""
+    alphabet = draw(st.lists(st.sampled_from(INFO_TEXTS), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 5)) == 0:
+        alphabet += draw(st.lists(st.sampled_from(BAD_TEXTS), min_size=1, unique=True))
+    token = st.tuples(st.sampled_from(alphabet), st.sampled_from([" ", "  ", "\t"]))
+    cell = st.lists(token, max_size=8).map(lambda pairs: "".join(t + sep for t, sep in pairs))
+    age = st.none() | st.floats(min_value=0, max_value=35.9)
+    return draw(st.lists(st.builds(record, age, st.none() | cell), max_size=30))
+
+
+def info_outcome(function, *args, **kwargs):
+    """The curve, with each mean's repr so -0.0 and 0.0 differ, or the ValueError's text."""
+    try:
+        points = function(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return points, [repr(p.mean_information) for p in points]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    info_corpora(),
+    st.booleans(),
+    st.none() | st.tuples(st.integers(1, 4), st.integers(0, 99)),
+)
+def test_info_by_age_equals_the_stream_path_to_the_bit(records, pooled, sampling):
+    sample_size, seed = sampling or (None, None)
+    kwargs = dict(pooled=pooled, sample_size=sample_size, seed=seed)
+    assert info_outcome(info_by_age, records, **kwargs) == info_outcome(
+        stream_info_by_age, records, **kwargs
+    )
 
 
 class TestCompareInventories:

@@ -1041,6 +1041,15 @@ class TestByteOrderMark:
             outcomes.append(written)
         assert outcomes[0] == outcomes[1] and outcomes[0][0] in (0, 1)
 
+    def test_convert_drops_one_mark_from_standard_input(self):
+        argv = ["convert", "--backend", "passthrough", "--uncorrected"]
+        proc = popen_cli(*argv, stdin=subprocess.PIPE)
+        out, err = proc.communicate("\ufeffa b\n\ufeffc\n", timeout=60)
+        assert (proc.returncode, out, err) == (0, "a b\n\ufeffc\n", "")
+        proc = popen_cli(*argv, stdin=subprocess.PIPE)
+        out, err = proc.communicate("\ufeff\ufeffa\n", timeout=60)
+        assert (proc.returncode, out, err) == (0, "\ufeffa\n", "")
+
 
 @pytest.mark.parametrize(
     "row, extra",

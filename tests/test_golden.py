@@ -17,6 +17,8 @@ GOLDEN = FIXTURES / "golden"
 
 RULES = ["--backend", "rules", "--rules", str(FIXTURES / "cha.rules"), "--uncorrected"]
 CORPUS = ["corpus", *RULES, "--input", str(FIXTURES / "corpus_small.csv")]
+# The converted corpus_small.csv, itself pinned by the corpus_rules_w1 case.
+INFO = ["info", str(GOLDEN / "corpus_rules_w1.csv")]
 
 # golden stem -> (argv before --output, whether the command writes a summary JSON)
 CASES = {
@@ -35,6 +37,9 @@ CASES = {
         ],
         False,
     ),
+    "info_default": (INFO, False),
+    "info_per_bucket": ([*INFO, "--per-bucket"], False),
+    "info_sample2_seed3": ([*INFO, "--sample-size", "2", "--seed", "3"], False),
 }
 
 
@@ -47,7 +52,7 @@ def _without_seconds(summary: bytes) -> bytes:
 def golden_outputs(stem: str, tmp_path: Path) -> dict[str, bytes]:
     """Golden file name -> the bytes the CLI writes for that case now."""
     argv, has_summary = CASES[stem]
-    suffix = ".csv" if has_summary else ".txt"
+    suffix = ".txt" if argv[0] == "convert" else ".csv"
     out = tmp_path / f"{stem}{suffix}"
     assert main([*argv, "--output", str(out)]) == 0
     outputs = {out.name: out.read_bytes()}

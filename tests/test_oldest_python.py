@@ -5,6 +5,10 @@ between interpreter versions, so ``corpus``, a folding ``convert``, the
 commands that read a converted corpus CSV and an inventory error's line number
 run under both, and their outputs are compared byte for byte. The tests skip
 when no such interpreter starts.
+
+Since Python 3.12 ``sum`` of floats is compensated, so the newest pyenv
+interpreter that starts checks that ``info_by_age``, which adds each
+utterance's costs left to right, still equals the stream path to the bit.
 """
 
 import csv
@@ -30,7 +34,7 @@ SYLLABLES += ["nes", "es", "ler", "ka", "ki", "lo", "(", "."]
 COLUMNS = ["speaker_role", "target_child_age", "gloss"]
 
 
-def _starts(python: str) -> bool:
+def _starts(python: str, version: str = OLDEST) -> bool:
     try:
         proc = subprocess.run(
             [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
@@ -40,19 +44,36 @@ def _starts(python: str) -> bool:
         )
     except (OSError, subprocess.TimeoutExpired):
         return False
-    return proc.returncode == 0 and proc.stdout.strip() == OLDEST
+    return proc.returncode == 0 and proc.stdout.strip() == version
+
+
+def pyenv_pythons(version: str) -> list[str]:
+    """The ``bin/python`` of each ``$(pyenv root)/versions/<version>``, a glob pattern."""
+    pyenv = shutil.which("pyenv")
+    if not pyenv:
+        return []
+    root = subprocess.run([pyenv, "root"], capture_output=True, text=True, timeout=60)
+    if root.returncode != 0 or not root.stdout.strip():
+        return []
+    pattern = os.path.join(root.stdout.strip(), "versions", version, "bin", "python")
+    return sorted(glob.glob(pattern))
 
 
 def oldest_python() -> str | None:
     """A ``pythonX.Y`` on PATH that starts, else one under ``$(pyenv root)/versions``."""
-    candidates = [shutil.which(f"python{OLDEST}")]
-    pyenv = shutil.which("pyenv")
-    if pyenv:
-        root = subprocess.run([pyenv, "root"], capture_output=True, text=True, timeout=60)
-        if root.returncode == 0 and root.stdout.strip():
-            pattern = os.path.join(root.stdout.strip(), "versions", f"{OLDEST}.*", "bin", "python")
-            candidates += sorted(glob.glob(pattern))
+    candidates = [shutil.which(f"python{OLDEST}"), *pyenv_pythons(f"{OLDEST}.*")]
     return next((c for c in candidates if c and _starts(c)), None)
+
+
+def newest_python() -> str | None:
+    """The pyenv ``3.X.Y`` interpreter of the highest version that starts."""
+
+    def version(python: str) -> tuple[int, ...]:
+        name = Path(python).parents[1].name
+        return tuple(map(int, name.split("."))) if re.fullmatch(r"3\.\d+\.\d+", name) else ()
+
+    candidates = sorted((p for p in pyenv_pythons("3.*") if version(p)), key=version, reverse=True)
+    return next((p for p in candidates if _starts(p, "%d.%d" % version(p)[:2])), None)
 
 
 def write_corpus(path: Path) -> None:
@@ -118,6 +139,8 @@ def run_readers(python: str, converted: Path) -> list[tuple[int, bytes]]:
     argvs = [
         ["stats", "--json", str(converted)],
         ["info", str(converted)],
+        ["info", "--per-bucket", str(converted)],
+        ["info", "--sample-size", "2", "--seed", "3", str(converted)],
         ["validate", "--json", *inventory, "--inventory-id", "2269", str(converted)],
         ["match", "--top", "3", *inventory, str(converted)],
     ]
@@ -134,7 +157,7 @@ def test_readers_of_a_converted_corpus_are_the_same_under_the_oldest_supported_p
     run_corpus(sys.executable, corpus, converted)
     oldest = run_readers(python, converted)
     assert oldest == run_readers(sys.executable, converted)
-    assert [code for code, _ in oldest] == [0, 0, 1, 0]  # validate: the map leaves unknowns
+    assert [code for code, _ in oldest] == [0, 0, 0, 0, 1, 0]  # validate: the map leaves unknowns
     assert all(out for _, out in oldest)
 
 
@@ -159,3 +182,37 @@ def test_an_inventory_error_names_the_same_line_under_the_oldest_supported_pytho
     assert (oldest.returncode, oldest.stderr) == (current.returncode, current.stderr)
     message = f"error: {inventory}: line 6: bad InventoryID 'x1'\n"
     assert (oldest.returncode, oldest.stderr.decode()) == (2, message)
+
+
+# Prints each info_by_age curve and the stream path's, as [bucket, mean.hex(), n] rows.
+INFO_CHECK = """
+import json, sys
+from phonofold import analysis, corpus
+from stream_oracle import stream_info_by_age
+records = [r for r in corpus.read_corpus(sys.argv[1]) if not r.is_child]
+runs = []
+for pooled in (True, False):
+    for sample_size, seed in ((None, None), (2, 3), (50, 1)):
+        kwargs = dict(pooled=pooled, sample_size=sample_size, seed=seed)
+        curves = (f(records, **kwargs) for f in (analysis.info_by_age, stream_info_by_age))
+        runs.append([[[p.age_bucket, p.mean_information.hex(), p.n_utterances] for p in curve]
+                     for curve in curves])
+print(json.dumps(runs))
+"""
+
+
+def test_info_by_age_equals_the_stream_path_under_the_newest_python(tmp_path):
+    python = newest_python()
+    if python is None:
+        pytest.skip("no pyenv Python 3 interpreter starts here")
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(corpus)
+    converted = tmp_path / "converted.csv"
+    run_corpus(sys.executable, corpus, converted)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run(
+        [python, "-c", INFO_CHECK, str(converted)], env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    for new, oracle in json.loads(proc.stdout):
+        assert new == oracle and new
