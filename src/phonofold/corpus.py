@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import itemgetter
@@ -62,6 +61,15 @@ class UtteranceRecord:
     is_child: bool = False
     error: str = ""
     extra: dict = field(default_factory=dict)
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: only a run that starts workers needs it."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def is_true(text: str) -> bool:
@@ -247,7 +255,8 @@ def convert_corpus(
     workers = min(workers, cpus or 1, len(records))
     if workers > 1:
         chunksize = max(1, len(records) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_type = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_type(max_workers=workers) as pool:
             results = list(pool.map(job, glosses, chunksize=chunksize))
     else:
         results = map(job, glosses)

@@ -756,29 +756,31 @@ def assert_clean_error(proc, *fragments):
         assert fragment in err, err
 
 
+def run_python(code):
+    """``python -c code`` in a fresh interpreter, so ``sys.modules`` holds only what it loads."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestNumpyStaysUnloaded:
     """numpy loads only when silhouette or the labeled-vector analytics run."""
 
-    def run_python(self, code):
-        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-
     @pytest.mark.parametrize("module", ["phonofold.cli", "phonofold"])
     def test_import_does_not_load_numpy(self, module):
-        proc = self.run_python(f"import sys, {module}; print('numpy' in sys.modules)")
+        proc = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
     def test_silhouette_of_a_vector_file(self, tmp_path):
         vectors = tmp_path / "vectors.csv"
         vectors.write_text("label,x,y\nL,0,0\nL,0,1\nR,10,0\nR,10,1\n", encoding="utf-8")
-        proc = self.run_python(
+        proc = run_python(
             "import sys\n"
             "from phonofold.analysis import load_labeled_vectors, silhouette\n"
             "assert 'numpy' not in sys.modules\n"
@@ -787,6 +789,55 @@ class TestNumpyStaysUnloaded:
         assert proc.returncode == 0, proc.stderr
         # a = 1 and b = (10 + sqrt(101)) / 2 for every point
         assert float(proc.stdout) == pytest.approx(1 - 2 / (10 + 101**0.5), abs=1e-12)
+
+
+POOL_MODULES = "[m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]"
+
+
+class TestPoolStaysUnloaded:
+    """The process pool loads only in a corpus run that starts workers."""
+
+    @pytest.mark.parametrize("module", ["phonofold.cli", "phonofold"])
+    def test_import_does_not_load_the_pool(self, module):
+        proc = run_python(f"import sys, {module}; print({POOL_MODULES})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("rows, workers", [(3, "1"), (1, "2")])
+    def test_a_corpus_run_on_one_worker_does_not_load_the_pool(
+        self, fixtures, tmp_path, rows, workers
+    ):
+        """``--workers 2`` on a one-row corpus is clamped to one worker."""
+        lines = (fixtures / "corpus_small.csv").read_text(encoding="utf-8").splitlines()
+        source = tmp_path / "in.csv"
+        source.write_text("\n".join(lines[: rows + 1]) + "\n", encoding="utf-8")
+        argv = ["corpus", "--backend", "passthrough", "--uncorrected", "--workers", workers]
+        argv += ["--input", str(source), "--output", str(tmp_path / "out.csv")]
+        proc = run_python(
+            f"import sys\nfrom phonofold import cli\ncode = cli.main({argv!r})\n"
+            f"print(code, {POOL_MODULES})"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
+        assert len((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()) == rows + 1
+
+    def test_the_module_attribute_is_the_pool_class(self):
+        """In a fresh interpreter, where no monkeypatch has left the name set on the module."""
+        proc = run_python(
+            "import concurrent.futures, phonofold.corpus\n"
+            "from phonofold.corpus import ProcessPoolExecutor\n"
+            "print(ProcessPoolExecutor is phonofold.corpus.ProcessPoolExecutor"
+            " is concurrent.futures.ProcessPoolExecutor)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
+
+    def test_no_other_name_is_made_up(self):
+        import phonofold.corpus
+
+        assert not hasattr(phonofold.corpus, "no_such_name")
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            phonofold.corpus.no_such_name
 
 
 class TestUserFileErrors:

@@ -93,15 +93,16 @@ def run_cli(python: str, *argv: str) -> subprocess.CompletedProcess:
     return subprocess.run([python, "-c", MAIN, *argv], env=env, capture_output=True, timeout=300)
 
 
-def run_corpus(python: str, corpus: Path, out: Path) -> tuple[bytes, dict]:
+def run_corpus(python: str, corpus: Path, out: Path, workers: str = "1") -> tuple[bytes, bytes]:
+    """The corpus CSV and the summary JSON without ``seconds``, as bytes."""
     fixtures = ROOT / "tests" / "fixtures"
     argv = ["corpus", "--backend", "rules", "--rules", str(fixtures / "anchored.rules")]
-    argv += ["--fold", str(fixtures / "french.fold"), "--workers", "1"]
+    argv += ["--fold", str(fixtures / "french.fold"), "--workers", workers]
     proc = run_cli(python, *argv, "--input", str(corpus), "--output", str(out))
     assert proc.returncode == 0, proc.stderr.decode()
     summary = json.loads(Path(f"{out}.summary.json").read_text(encoding="utf-8"))
     summary.pop("seconds")
-    return out.read_bytes(), summary
+    return out.read_bytes(), json.dumps(summary).encode()
 
 
 def test_corpus_csv_is_the_same_under_the_oldest_supported_python(tmp_path):
@@ -113,6 +114,8 @@ def test_corpus_csv_is_the_same_under_the_oldest_supported_python(tmp_path):
     oldest = run_corpus(python, corpus, tmp_path / "oldest.csv")
     current = run_corpus(sys.executable, corpus, tmp_path / "current.csv")
     assert oldest == current
+    # Two workers start the pool, which the corpus module imports on first use.
+    assert run_corpus(python, corpus, tmp_path / "oldest_w2.csv", "2") == oldest
 
 
 def run_convert(python: str) -> tuple[int, bytes]:
