@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FormatError, UnseenSymbolError
 from .inventory import Inventory, TernaryValue
-from .stream import IpaSegment, PhonemeStream, coerce_token, csv_rows, open_text
+from .stream import IpaSegment, PhonemeStream, coerce_token, column_positions, csv_rows, open_text
 
 # numpy is imported inside the three functions that use it, so a command
 # that never reaches them does not pay for loading it.
@@ -248,7 +248,7 @@ def load_labeled_vectors(source, label_column: str = "label") -> LabeledVectorSe
         reader = csv.reader(handle)
         rows = csv_rows(reader, name)
         header = next(rows, [])
-        at = {column: i for i, column in enumerate(header)}  # of two alike, the last
+        at = column_positions(header)
         if header and label_column not in at:
             message = f"missing column {label_column!r}"
             raise FormatError(message, source=name, line=reader.line_num)

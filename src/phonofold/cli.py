@@ -17,13 +17,12 @@ import os
 import stat
 import sys
 import time
-from itertools import chain
 from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
 from .errors import ConfigError, FormatError, PhonofoldError
-from .stream import IpaSegment, as_segments, atomic_paths, content_lines, csv_rows, open_text
-from .stream import parse_stream, read_text, segment_types
+from .stream import IpaSegment, as_segments, atomic_paths, column_positions, content_lines
+from .stream import csv_rows, open_text, parse_stream, read_text, segment_types
 
 INVENTORY_ENV = "PHONOFOLD_INVENTORY"
 
@@ -160,7 +159,7 @@ def _check_phonemized(path, header) -> int:
     """The index of a CSV header's last phonemized column; a ConfigError if none (or no header)."""
     if header is None or corpus.PHONEMIZED not in header:
         raise ConfigError(f"{path}: no phonemized column to read segments from")
-    return corpus.column_positions(header)[corpus.PHONEMIZED]
+    return column_positions(header)[corpus.PHONEMIZED]
 
 
 def _input_streams(path: str):
@@ -306,18 +305,14 @@ def cmd_info(args) -> int:
     with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
         skipped: list = []
         with open_text(args.input) as handle:  # opened once, so that a pipe can be read
-            head: list = []  # the header's lines, read again by the corpus reader
-            lines = (head.append(line) or line for line in handle)
-            _check_phonemized(args.input, next(csv_rows(csv.reader(lines), args.input), None))
-            records = corpus._read(
-                chain(head, handle), args.input, args.schema, args.child_role, skipped
+            records = corpus._read(handle, args.input, args.schema, args.child_role, skipped)
+            _check_phonemized(args.input, next(records))
+            points = analysis.info_by_age(
+                (r for r in records if not r.is_child),
+                pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed,
             )
-            records = [r for r in records if not r.is_child]
         for line_num, problem in skipped:
             print(f"line {line_num}: {problem}", file=sys.stderr)
-        points = analysis.info_by_age(
-            records, pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed
-        )
         for row in analysis.curve_rows(points):
             print(",".join(str(v) for v in row), file=out_handle)
     return 0

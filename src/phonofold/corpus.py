@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .errors import FormatError, PhonofoldError
 from .folding import FoldMap, apply_fold
 from .g2p import convert_utterance
-from .stream import IpaSegment, csv_rows, emit_stream, open_text, segment_types
+from .stream import IpaSegment, column_positions, csv_rows, emit_stream, open_text, segment_types
 
 AVERAGE_MONTH_DAYS = 30.44
 
@@ -112,15 +112,13 @@ def read_corpus(
     skipped and appended to ``row_errors`` as (line_number, message) if it is a list.
     """
     with open_text(source) as handle:
-        yield from _read(handle, getattr(handle, "name", "<file>"), schema, child_role, row_errors)
+        records = _read(handle, getattr(handle, "name", "<file>"), schema, child_role, row_errors)
+        next(records)  # the header
+        yield from records
 
 
-def column_positions(header: list[str]) -> dict[str, int]:
-    """Each column name's index in a CSV header; of two columns with one name, the last's."""
-    return {column: i for i, column in enumerate(header)}
-
-
-def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRecord]:
+def _read(handle, name, schema, child_role, row_errors) -> Iterator:
+    """The header as read (None if there is none), then ``read_corpus``'s records."""
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if "gloss" not in schema:
         raise FormatError("schema must map the gloss column", source=name)
@@ -128,6 +126,7 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator[UtteranceRec
     lines = (held.append(line) or line for line in handle)  # each line held as it is read
     reader = csv.reader(lines)
     header = next(csv_rows(reader, name), None)
+    yield header
     if header is None:
         raise FormatError("empty corpus file", source=name)
     width, at = len(header), column_positions(header)

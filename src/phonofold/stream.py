@@ -104,6 +104,11 @@ def csv_rows(reader, source, offset: int = 0) -> Iterator[list[str]]:
         raise FormatError(str(exc), source=source, line=offset + reader.line_num) from None
 
 
+def column_positions(header: list[str]) -> dict[str, int]:
+    """Each column name's index in a CSV header; of two columns with one name, the last's."""
+    return {column: i for i, column in enumerate(header)}
+
+
 def read_text(path) -> str:
     """The whole text of a UTF-8 file."""
     with open_text(path) as handle:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -652,6 +653,25 @@ class TestStatsAndInfo:
         assert proc.returncode == 0 and "Traceback" not in err, err
         assert out.splitlines() == ["age_bucket,mean_information,n_utterances", "1,2.0,1"]
 
+    def test_info_memory_does_not_grow_with_a_column_it_never_reads(self, tmp_path):
+        def peak(notes):
+            """tracemalloc's peak over an info run, after one run to warm up."""
+            path = tmp_path / f"converted{len(notes)}.csv"
+            header = "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss"
+            rows = [f"u{i},t,c,col,MOT,{6 + i % 40},x,{'ab'[i % 2]} a{notes}" for i in range(2000)]
+            columns = header + ",phonemized" + (",notes" if notes else "")
+            path.write_text("\n".join([columns, *rows]) + "\n", encoding="utf-8")
+            argv = ["info", str(path), "-o", str(tmp_path / "curve.csv")]
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak("," + "n" * 500) - peak("")) < 100_000
+
 
 def dict_reader_streams(path):
     """The streams of a file, each phonemized cell of a CSV read by name through csv.DictReader."""
@@ -1216,6 +1236,35 @@ class TestOptions:
             dests = [action for action in flags if action.dest == key]
             assert dests, key
             assert all(action.default is None for action in dests), key
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convert", "x.txt"], "no backend selected (use --backend)"),
+        (["convert", "--config", "run.cfg", "x.txt"], "unknown backend 'klingon'; "),
+        (["convert", "--backend", "rules", "x.txt"], "rules backend needs --rules FILE"),
+        (["convert", "--backend", "lexicon", "x.txt"], "lexicon backend needs --lexicon FILE"),
+        (["convert", "--backend", "syllabary", "x.txt"], "syllabary backend needs --table FILE"),
+        (["info", "--schema", "gloss", "x.csv"], "--schema expects field=column, got 'gloss'"),
+        (["info", "--schema", "bogus=x", "x.csv"], "unknown schema field 'bogus'"),
+        (["validate", "x.txt"], "no inventory file (use --inventory or $PHONOFOLD_INVENTORY)"),
+        (
+            ["match", "--inventory", "INVENTORY", "observed.json"],
+            "observed.json: expected observed_segments: a list of strings",
+        ),
+    ],
+)
+def test_configuration_error_is_one_line(argv, message, capsys, fixtures, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PHONOFOLD_INVENTORY", raising=False)
+    (tmp_path / "x.txt").write_text("a\n", encoding="utf-8")
+    (tmp_path / "run.cfg").write_text("backend = klingon\n", encoding="utf-8")
+    (tmp_path / "observed.json").write_text('{"observed_segments": 3}', encoding="utf-8")
+    inventory_csv = str(fixtures / "toy_inventories.csv")
+    code, out, err = run(capsys, *(inventory_csv if a == "INVENTORY" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 class TestConfigFileErrors:

@@ -197,6 +197,12 @@ class TestRepeatedRowTail:
         text = HEADER + self.ROW + head + ",a,vowel,+,+\n"
         assert outcome(load_csv, text) == outcome(eager_load_oracle, text)
 
+    def test_a_segment_first_read_from_a_quoted_row_is_shared_with_its_plain_repeats(self):
+        header = "InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass,syllabic\n"
+        rows = '1,"Chinese, Mandarin",cmn,a,vowel,+\n2,Toy,qaa,a,vowel,+\n3,Toy,qab,a,vowel,+\n'
+        first, second, third = (inv.segments[0] for inv in load_csv(header + rows))
+        assert first is second is third
+
     def test_a_layout_without_the_three_columns_first_reads_every_cell(self):
         header = "Phoneme,LanguageName,ISO6393,InventoryID,SegmentClass,syllabic\n"
         (inv,) = load_csv(header + "a,Toy,qaa,1,vowel,+\n" + "b,Toy,qaa,1,vowel,+\n")
