@@ -12,7 +12,6 @@ import csv
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, filterfalse
 from operator import add
@@ -20,7 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FormatError, UnseenSymbolError
 from .inventory import Inventory, TernaryValue
-from .stream import IpaSegment, PhonemeStream, coerce_token, column_positions, csv_rows, open_text
+from .stream import IpaSegment, PhonemeStream, _Record, coerce_token, column_positions, csv_rows
+from .stream import open_text
 
 # numpy is imported inside the three functions that use it, so a command
 # that never reaches them does not pay for loading it.
@@ -43,11 +43,13 @@ def frequency_table(streams: Iterable[PhonemeStream]) -> Counter:
     return counts
 
 
-@dataclass(frozen=True)
-class UnigramModel:
-    probabilities: dict
-    total_tokens: int
-    smoothing: str = "none"
+class UnigramModel(_Record):
+    _fields = ("probabilities", "total_tokens", "smoothing")
+
+    def __init__(self, probabilities: dict, total_tokens: int, smoothing: str = "none"):
+        vars(self).update(
+            probabilities=probabilities, total_tokens=total_tokens, smoothing=smoothing
+        )
 
     def probability(self, segment) -> float:
         p = self.probabilities.get(segment)
@@ -88,16 +90,18 @@ def utterance_information(model: UnigramModel, stream: PhonemeStream) -> float:
     return bits
 
 
-@dataclass(frozen=True)
-class InfoCurvePoint:
+class InfoCurvePoint(_Record):
     """Mean utterance information for one year-of-age bucket.
 
     Bucket k covers ages [12k, 12k + 12) months.
     """
 
-    age_bucket: int
-    mean_information: float
-    n_utterances: int
+    _fields = ("age_bucket", "mean_information", "n_utterances")
+
+    def __init__(self, age_bucket: int, mean_information: float, n_utterances: int):
+        vars(self).update(
+            age_bucket=age_bucket, mean_information=mean_information, n_utterances=n_utterances
+        )
 
 
 def info_by_age(
@@ -150,11 +154,11 @@ def info_by_age(
     return points
 
 
-@dataclass(frozen=True)
-class VennReport:
-    only_a: frozenset
-    both: frozenset
-    only_b: frozenset
+class VennReport(_Record):
+    _fields = ("only_a", "both", "only_b")
+
+    def __init__(self, only_a: frozenset, both: frozenset, only_b: frozenset):
+        vars(self).update(only_a=only_a, both=both, only_b=only_b)
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -215,22 +219,19 @@ def binomial_test(successes: int, trials: int, p0: float = 0.5) -> float:
     return min(1.0, math.exp(total))
 
 
-@dataclass(frozen=True)
-class LabeledVectorSet:
+class LabeledVectorSet(_Record):
     """Uniform-dimension real vectors with parallel cluster labels."""
 
-    vectors: np.ndarray
-    labels: tuple
+    _fields = ("vectors", "labels")
 
-    def __post_init__(self):
+    def __init__(self, vectors: np.ndarray, labels: tuple):
         import numpy as np
 
-        vectors = np.asarray(self.vectors, dtype=float)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        vectors, labels = np.asarray(vectors, dtype=float), tuple(labels)
+        vars(self).update(vectors=vectors, labels=labels)
         if vectors.ndim != 2:
             raise ValueError("vectors must form an (n, d) matrix")
-        if len(self.labels) != vectors.shape[0]:
+        if len(labels) != vectors.shape[0]:
             raise ValueError("labels and vectors must have equal length")
 
 

@@ -163,14 +163,22 @@ def _check_phonemized(path, header) -> int:
 
 
 def _input_streams(path: str):
-    """``parse_stream`` of each line of a text file, or of each ``phonemized`` cell of a CSV."""
+    """``parse_stream`` of each line of a text file, or of each ``phonemized`` cell of a CSV;
+    a token that is not a segment is a FormatError naming the file and line."""
     with open_text(path) as handle:
         if Path(path).suffix.lower() != ".csv":
-            yield from map(parse_stream, handle)
-            return
-        rows = csv_rows(csv.reader(handle), path)
-        at = _check_phonemized(path, next(rows, None))
-        yield from map(parse_stream, (row[at] if at < len(row) else "" for row in rows))
+            cells = enumerate(handle, start=1)
+        else:
+            reader = csv.reader(handle)
+            rows = csv_rows(reader, path)
+            at = _check_phonemized(path, next(rows, None))
+            cells = ((reader.line_num, row[at] if at < len(row) else "") for row in rows)
+        for line_num, cell in cells:
+            try:
+                stream = parse_stream(cell)
+            except ValueError as exc:
+                raise FormatError(str(exc), source=path, line=line_num) from None
+            yield stream
 
 
 def _read_observed(path: str) -> set[IpaSegment]:
@@ -307,10 +315,15 @@ def cmd_info(args) -> int:
         with open_text(args.input) as handle:  # opened once, so that a pipe can be read
             records = corpus._read(handle, args.input, args.schema, args.child_role, skipped)
             _check_phonemized(args.input, next(records))
-            points = analysis.info_by_age(
-                (r for r in records if not r.is_child),
-                pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed,
-            )
+            try:
+                points = analysis.info_by_age(
+                    (r for r in records if not r.is_child),
+                    pooled=not args.per_bucket, sample_size=args.sample_size, seed=args.seed,
+                )
+            except ValueError as exc:  # a token that is not a segment; a bad read raises as is
+                if isinstance(exc, (PhonofoldError, UnicodeDecodeError)):
+                    raise
+                raise FormatError(str(exc), source=args.input) from None
         for line_num, problem in skipped:
             print(f"line {line_num}: {problem}", file=sys.stderr)
         for row in analysis.curve_rows(points):

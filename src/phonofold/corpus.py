@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import os
 import re
-from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -20,7 +19,8 @@ from typing import Iterable, Iterator
 from .errors import FormatError, PhonofoldError
 from .folding import FoldMap, apply_fold
 from .g2p import convert_utterance
-from .stream import IpaSegment, column_positions, csv_rows, emit_stream, open_text, segment_types
+from .stream import IpaSegment, _Record, column_positions, csv_rows, emit_stream, open_text
+from .stream import segment_types
 
 AVERAGE_MONTH_DAYS = 30.44
 
@@ -47,20 +47,33 @@ _AGE_RE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 
 
-@dataclass
 class UtteranceRecord:
-    utterance_id: str = ""
-    transcript_id: str = ""
-    corpus_id: str = ""
-    collection_id: str = ""
-    speaker_role: str = ""
-    target_child_age: float | None = None
-    age_text: str = ""
-    gloss: str = ""
-    phonemized: str | None = None
-    is_child: bool = False
-    error: str = ""
-    extra: dict = field(default_factory=dict)
+    """One corpus row: its mapped cells, its other cells in ``extra``, and its conversion."""
+
+    _fields = (
+        "utterance_id", "transcript_id", "corpus_id", "collection_id", "speaker_role",
+        "target_child_age", "age_text", "gloss", "phonemized", "is_child", "error", "extra",
+    )
+    __eq__, __repr__, __hash__ = _Record.__eq__, _Record.__repr__, None
+
+    def __init__(
+        self, utterance_id: str = "", transcript_id: str = "", corpus_id: str = "",
+        collection_id: str = "", speaker_role: str = "", target_child_age: float | None = None,
+        age_text: str = "", gloss: str = "", phonemized: str | None = None,
+        is_child: bool = False, error: str = "", extra: dict | None = None,
+    ):
+        self.utterance_id = utterance_id
+        self.transcript_id = transcript_id
+        self.corpus_id = corpus_id
+        self.collection_id = collection_id
+        self.speaker_role = speaker_role
+        self.target_child_age = target_child_age
+        self.age_text = age_text
+        self.gloss = gloss
+        self.phonemized = phonemized
+        self.is_child = is_child
+        self.error = error
+        self.extra = {} if extra is None else extra
 
 
 def __getattr__(name: str):
@@ -182,14 +195,16 @@ def _rows(reader, lines, held: list, width: int, row_errors) -> Iterator[list]:
             row_errors.append((line_num, problem))
 
 
-@dataclass
 class RunSummary:
     """Associatively mergeable per-run conversion summary."""
 
-    rows: int = 0
-    errors: int = 0
-    observed: set = field(default_factory=set)
-    unmapped: set = field(default_factory=set)
+    _fields = ("rows", "errors", "observed", "unmapped")
+    __eq__, __repr__, __hash__ = _Record.__eq__, _Record.__repr__, None
+
+    def __init__(self, rows=0, errors=0, observed: set | None = None, unmapped: set | None = None):
+        self.rows, self.errors = rows, errors
+        self.observed = set() if observed is None else observed
+        self.unmapped = set() if unmapped is None else unmapped
 
     def merge(self, other: "RunSummary") -> None:
         self.rows += other.rows
@@ -248,7 +263,7 @@ def convert_corpus(
         keep_word_boundaries=keep_word_boundaries,
     )
     glosses = (record.gloss for record in records)
-    summary = RunSummary()
+    summary = RunSummary(len(records))
     out: list[UtteranceRecord] = []
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1, len(records))
@@ -259,9 +274,16 @@ def convert_corpus(
             results = list(pool.map(job, glosses, chunksize=chunksize))
     else:
         results = map(job, glosses)
-    for record, (phonemized, error, observed, unmapped) in zip(records, results):
-        out.append(replace(record, phonemized=phonemized, error=error))
-        summary.merge(RunSummary(1, int(bool(error)), observed, unmapped))
+    for r, (phonemized, error, observed, unmapped) in zip(records, results):
+        out.append(
+            UtteranceRecord(
+                r.utterance_id, r.transcript_id, r.corpus_id, r.collection_id, r.speaker_role,
+                r.target_child_age, r.age_text, r.gloss, phonemized, r.is_child, error, r.extra,
+            )
+        )
+        summary.errors += bool(error)
+        summary.observed |= observed
+        summary.unmapped |= unmapped
     return out, summary
 
 

@@ -9,7 +9,6 @@ mappings for unknowns that differ only by diacritics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
@@ -19,7 +18,7 @@ from .chars import classify_segment, strip_marks
 from .errors import FormatError
 from .g2p import DELETION_MARK, RewriteRule, _split_rule_line
 from .inventory import Inventory
-from .stream import IpaSegment, PhonemeStream, as_segments, content_lines, read_text
+from .stream import IpaSegment, PhonemeStream, _Record, as_segments, content_lines, read_text
 from .stream import repair_tokens
 
 
@@ -54,10 +53,11 @@ class FoldRule(RewriteRule):
         return f"{' '.join(self.lhs)} -> {rhs}"
 
 
-@dataclass(frozen=True)
-class FoldMap:
-    rules: tuple[FoldRule, ...]
-    provenance: str = "<string>"
+class FoldMap(_Record):
+    _fields = ("rules", "provenance")
+
+    def __init__(self, rules: tuple[FoldRule, ...], provenance: str = "<string>"):
+        vars(self).update(rules=rules, provenance=provenance)
 
     @cached_property
     def _passes(self) -> list:
@@ -75,14 +75,15 @@ class FoldMap:
         return passes
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(_Record):
     """U_K/U_S split of an observed segment set against a reference set."""
 
-    observed: frozenset
-    reference: frozenset
-    unknown: frozenset
-    unseen: frozenset
+    _fields = ("observed", "reference", "unknown", "unseen")
+
+    def __init__(
+        self, observed: frozenset, reference: frozenset, unknown: frozenset, unseen: frozenset
+    ):
+        vars(self).update(observed=observed, reference=reference, unknown=unknown, unseen=unseen)
 
 
 def parse_fold_map(text: str, source: str = "<string>") -> FoldMap:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import eq
@@ -33,7 +32,7 @@ from .errors import (
     ToneAttachmentError,
     UnknownSegmentError,
 )
-from .stream import Boundary, IpaSegment, PhonemeStream, as_segments, coerce_token
+from .stream import Boundary, IpaSegment, PhonemeStream, _Record, as_segments, coerce_token
 from .stream import content_lines, read_text, repair_tokens
 
 DELETION_MARK = "∅"
@@ -43,8 +42,7 @@ def _nfd(text: str) -> str:
     return unicodedata.normalize("NFD", text)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(_Record):
     """Replace a symbol sequence, optionally restricted by literal context.
 
     Symbols are single characters for pre-processor rules and whole phoneme
@@ -56,17 +54,18 @@ class RewriteRule:
     returns the string rewritten by one precompiled regular expression.
     """
 
-    target: tuple[str, ...]
-    replacement: tuple[str, ...]
-    left: tuple[str, ...] = ()
-    right: tuple[str, ...] = ()
-    left_anchor: bool = False
-    right_anchor: bool = False
+    _fields = ("target", "replacement", "left", "right", "left_anchor", "right_anchor")
 
-    def __post_init__(self):
-        if not self.target:
+    def __init__(
+        self, target: tuple[str, ...], replacement: tuple[str, ...], left: tuple[str, ...] = (),
+        right: tuple[str, ...] = (), left_anchor: bool = False, right_anchor: bool = False,
+    ):
+        if not target:
             raise ValueError("rewrite target must be non-empty")
-        object.__setattr__(self, "_window", self.left + self.target + self.right)
+        vars(self).update(
+            target=target, replacement=replacement, left=left, right=right,
+            left_anchor=left_anchor, right_anchor=right_anchor, _window=left + target + right,
+        )
 
     @cached_property
     def _text_rule(self) -> tuple[re.Pattern, str]:
@@ -137,40 +136,46 @@ class GraphemeMap:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(_Record):
     """Conversion stages applied strictly in order pre -> map -> post."""
 
-    pre_rules: tuple[RewriteRule, ...] = ()
-    grapheme_map: GraphemeMap = field(default_factory=GraphemeMap)
-    post_rules: tuple[RewriteRule, ...] = ()
+    _fields = ("pre_rules", "grapheme_map", "post_rules")
+
+    def __init__(
+        self, pre_rules: tuple[RewriteRule, ...] = (), grapheme_map: GraphemeMap | None = None,
+        post_rules: tuple[RewriteRule, ...] = (),
+    ):
+        grapheme_map = GraphemeMap() if grapheme_map is None else grapheme_map
+        vars(self).update(pre_rules=pre_rules, grapheme_map=grapheme_map, post_rules=post_rules)
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(_Record):
     """Case-folded word -> pronunciation map."""
 
-    entries: dict
+    _fields = ("entries",)
+
+    def __init__(self, entries: dict):
+        vars(self)["entries"] = entries
 
     def lookup(self, word: str):
         return self.entries.get(_nfd(word).casefold())
 
 
-@dataclass(frozen=True)
-class SyllableTable:
+class SyllableTable(_Record):
     """Romanized syllable -> (segments, optional tone glyphs).
 
     ``syllabic_segments`` hosts per-language nucleus exceptions (for
     example syllabic nasals); the default nucleus is the first vowel.
     """
 
-    entries: dict
-    syllabic_segments: frozenset = frozenset()
+    _fields = ("entries", "syllabic_segments")
 
-    def __post_init__(self):
-        if "" in self.entries:
+    def __init__(self, entries: dict, syllabic_segments: frozenset = frozenset()):
+        if "" in entries:
             raise ValueError("syllable keys must be non-empty")
-        object.__setattr__(self, "_pattern", _longest_first(self.entries))
+        vars(self).update(
+            entries=entries, syllabic_segments=syllabic_segments, _pattern=_longest_first(entries)
+        )
 
 
 def convert_rules(rules: RuleSet, word: str) -> tuple[list[IpaSegment], set[str]]:
@@ -277,13 +282,14 @@ def merge_tones(
     return out
 
 
-@dataclass(frozen=True)
-class RulesBackend:
+class RulesBackend(_Record):
     """The rule engine, run once per distinct word and remembered after."""
 
     _NONE_UNMAPPED = frozenset()  # shared by every word with no unmapped characters
-    rules: RuleSet
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("rules",)
+
+    def __init__(self, rules: RuleSet):
+        vars(self).update(rules=rules, _memo={})
 
     def convert_word(self, word: str) -> tuple[list[IpaSegment], frozenset[str]]:
         known = self._memo.get(word)
@@ -296,19 +302,21 @@ class RulesBackend:
         return type(self), (self.rules,)
 
 
-@dataclass(frozen=True)
-class LexiconBackend:
-    lexicon: Lexicon
-    fallback: RuleSet | None = None
+class LexiconBackend(_Record):
+    _fields = ("lexicon", "fallback")
+
+    def __init__(self, lexicon: Lexicon, fallback: RuleSet | None = None):
+        vars(self).update(lexicon=lexicon, fallback=fallback)
 
     def convert_word(self, word: str) -> tuple[list[IpaSegment], set[str]]:
         return convert_lexicon(self.lexicon, word, rules=self.fallback)
 
 
-@dataclass(frozen=True)
-class SyllabaryBackend:
-    table: SyllableTable
-    split_tones: bool = False
+class SyllabaryBackend(_Record):
+    _fields = ("table", "split_tones")
+
+    def __init__(self, table: SyllableTable, split_tones: bool = False):
+        vars(self).update(table=table, split_tones=split_tones)
 
     def convert_word(self, word: str) -> tuple[list[IpaSegment], set[str]]:
         segments: list[IpaSegment] = []
@@ -325,8 +333,7 @@ class SyllabaryBackend:
         return segments, set()
 
 
-@dataclass(frozen=True)
-class PassthroughBackend:
+class PassthroughBackend(_Record):
     """Accepts text some external tool already phonemized."""
 
     def convert_line(self, text: str) -> tuple[list, set[str]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from types import MappingProxyType
@@ -24,7 +23,7 @@ from typing import Collection, Iterable, Mapping
 
 from .chars import classify_segment, count_vowel_glyphs
 from .errors import FormatError, UnknownFeatureError, UnknownSegmentError
-from .stream import IpaSegment, as_segments, csv_rows, open_text
+from .stream import IpaSegment, _Record, as_segments, csv_rows, open_text
 
 REQUIRED_COLUMNS = ("InventoryID", "LanguageName", "ISO6393", "Phoneme", "SegmentClass")
 
@@ -45,57 +44,55 @@ class TernaryValue(Enum):
 _CELL_VALUES = {"+": TernaryValue.PLUS, "-": TernaryValue.MINUS}
 
 
-@dataclass(frozen=True)
-class InventorySegment:
-    segment: IpaSegment
-    segment_class: str
-    features: Mapping[str, TernaryValue]
+class InventorySegment(_Record):
+    _fields = ("segment", "segment_class", "features")
 
-    def __post_init__(self):
-        if self.segment_class not in SEGMENT_CLASSES:
-            raise ValueError(f"unknown segment class {self.segment_class!r}")
+    def __init__(
+        self, segment: IpaSegment, segment_class: str, features: Mapping[str, TernaryValue]
+    ):
+        if segment_class not in SEGMENT_CLASSES:
+            raise ValueError(f"unknown segment class {segment_class!r}")
+        vars(self).update(segment=segment, segment_class=segment_class, features=features)
 
 
-@dataclass(frozen=True)
-class CountProfile:
+class CountProfile(_Record):
     """Phoneme-type counts used for inventory matching."""
 
-    n_types: int
-    n_consonants: int
-    n_vowels: int
-    n_diphthongs: int
+    _fields = ("n_types", "n_consonants", "n_vowels", "n_diphthongs")
+
+    def __init__(self, n_types: int, n_consonants: int, n_vowels: int, n_diphthongs: int):
+        vars(self).update(
+            n_types=n_types, n_consonants=n_consonants, n_vowels=n_vowels, n_diphthongs=n_diphthongs
+        )
+        if min(n_types, n_consonants, n_vowels, n_diphthongs) < 0:
+            raise ValueError("counts must be non-negative")
+        if self.n_tones < 0:
+            raise ValueError("consonants + vowels exceed total types")
+        if n_diphthongs > n_vowels:
+            raise ValueError("more diphthongs than vowels")
 
     @property
     def n_tones(self) -> int:
         return self.n_types - self.n_consonants - self.n_vowels
 
-    def __post_init__(self):
-        if min(self.n_types, self.n_consonants, self.n_vowels, self.n_diphthongs) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.n_tones < 0:
-            raise ValueError("consonants + vowels exceed total types")
-        if self.n_diphthongs > self.n_vowels:
-            raise ValueError("more diphthongs than vowels")
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_types, self.n_consonants, self.n_vowels, self.n_diphthongs)
 
 
-@dataclass(frozen=True)
-class Inventory:
-    id: int
-    language_name: str
-    iso_code: str
-    segments: tuple[InventorySegment, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+class Inventory(_Record):
+    _fields = ("id", "language_name", "iso_code", "segments")
 
-    def __post_init__(self):
-        index = {seg.segment: seg for seg in self.segments}
-        if len(index) < len(self.segments):  # name the first segment seen twice
-            texts = [seg.segment for seg in self.segments]
+    def __init__(
+        self, id: int, language_name: str, iso_code: str, segments: tuple[InventorySegment, ...]
+    ):
+        index = {seg.segment: seg for seg in segments}
+        if len(index) < len(segments):  # name the first segment seen twice
+            texts = [seg.segment for seg in segments]
             duplicate = next(text for i, text in enumerate(texts) if texts.index(text) < i)
-            raise ValueError(f"duplicate segment {duplicate!r} in inventory {self.id}")
-        object.__setattr__(self, "_index", index)
+            raise ValueError(f"duplicate segment {duplicate!r} in inventory {id}")
+        vars(self).update(
+            id=id, language_name=language_name, iso_code=iso_code, segments=segments, _index=index
+        )
 
     def segment_texts(self) -> frozenset[IpaSegment]:
         return frozenset(self._index)

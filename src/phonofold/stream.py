@@ -60,10 +60,13 @@ class IpaSegment(str):
         normalized = unicodedata.normalize("NFD", text)
         if not normalized:
             raise ValueError("segment text must be non-empty")
-        if any(ch.isspace() for ch in normalized):
+        if any(map(str.isspace, normalized)):
             raise ValueError(f"segment {text!r} contains whitespace")
-        if any("\ud800" <= ch <= "\udfff" for ch in normalized):
+        categories = set(map(unicodedata.category, normalized))
+        if "Cs" in categories:  # U+D800-U+DFFF
             raise ValueError(f"segment {text!r} contains a surrogate code point")
+        if "Cf" in categories:  # U+200B, U+FEFF, ...
+            raise ValueError(f"segment {text!r} contains a format character")
         if normalized in (WORD_BOUNDARY, UTT_BOUNDARY):
             raise ValueError(f"{text!r} is a reserved boundary literal")
         return super().__new__(cls, normalized)
@@ -157,6 +160,38 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_num, raw
+
+
+class _Record:
+    """Equality, hash and ``repr`` over the attributes named in ``_fields``; no assignment.
+
+    An instance equals only an instance of its own class with equal fields, in order, and
+    hashes as the tuple of them. A subclass's ``__init__`` fills ``vars(self)``. A mutable
+    record class takes ``__eq__`` and ``__repr__`` from here and inherits nothing, so that
+    its attribute stores stay plain.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self._fields] == [
+            getattr(other, name) for name in self._fields
+        ]
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 StreamToken = Union[IpaSegment, Boundary]

@@ -391,6 +391,25 @@ class TestCorpus:
         assert summary["errors"] == 0
         assert "tʃ" in summary["observed_segments"]
 
+    def test_a_format_character_is_a_row_error_and_the_run_goes_on(
+        self, capsys, fixtures, tmp_path
+    ):
+        source, out_csv = tmp_path / "in.csv", tmp_path / "out.csv"
+        header = "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss\n"
+        glosses = ["cha", "\u200bcha", "cha cha"]  # a zero-width space opens the second
+        rows = [f"u{i},t,c,col,MOT,18,{gloss}\n" for i, gloss in enumerate(glosses)]
+        source.write_text(header + "".join(rows), encoding="utf-8")
+        rules = str(fixtures / "cha.rules")
+        argv = ["--uncorrected", "--input", str(source), "--output", str(out_csv)]
+        code, _, err = run(capsys, "corpus", "--backend", "rules", "--rules", rules, *argv)
+        assert (code, err) == (1, "3 rows, 1 errors, 0 skipped\n")
+        written = list(csv.DictReader(out_csv.open(encoding="utf-8", newline="")))
+        assert [row["phonemized"] for row in written] == ["tʃ a", "", "tʃ a tʃ a"]
+        refused = "ValueError: segment '\\u200b' contains a format character"
+        assert [row["errors"] for row in written] == ["", refused, ""]
+        summary = json.loads((tmp_path / "out.csv.summary.json").read_text(encoding="utf-8"))
+        assert (summary["rows"], summary["errors"]) == (3, 1)
+
     def test_schema_from_config_file(self, capsys, fixtures, tmp_path):
         src = tmp_path / "renamed.csv"
         src.write_text(
@@ -860,6 +879,28 @@ class TestPoolStaysUnloaded:
             phonofold.corpus.no_such_name
 
 
+CLASS_MACHINERY = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+
+
+class TestClassMachineryStaysUnloaded:
+    """No record class is built with ``dataclasses``, so it and ``inspect`` never load."""
+
+    @pytest.mark.parametrize("module", ["phonofold.cli", "phonofold"])
+    def test_import_does_not_load_it(self, module):
+        proc = run_python(f"import sys, {module}; print({CLASS_MACHINERY})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_a_stats_run_does_not_load_it(self, fixtures):
+        argv = ["stats", "--json", str(fixtures / "french_backend_output.txt")]
+        proc = run_python(
+            f"import sys\nfrom phonofold import cli\ncode = cli.main({argv!r})\n"
+            f"print(code, {CLASS_MACHINERY}, file=sys.stderr)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "0 []\n" and proc.stdout
+
+
 class TestUserFileErrors:
     @pytest.mark.parametrize(
         "command",
@@ -957,6 +998,27 @@ class TestUserFileErrors:
         inventory = ["--inventory", str(fixtures / "toy_inventories.csv"), "--inventory-id", "9001"]
         proc = popen_cli("validate", *flags, *inventory, str(observed))
         assert_clean_error(proc, str(observed), "surrogate")
+
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            (["stats", "--json"], "line 3: "),
+            (["validate", "--inventory", "{inventory}", *FRENCH_ARGS], "line 3: "),
+            (["match", "--inventory", "{inventory}"], "line 3: "),
+            (["info"], ""),  # info's records carry no line number
+        ],
+        ids=["stats", "validate", "match", "info"],
+    )
+    def test_format_character_in_a_phonemized_cell_exits_two(
+        self, command, where, fixtures, tmp_path
+    ):
+        source = tmp_path / "streams.csv"
+        header = "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss"
+        rows = ["u1,t,c,k,MOT,24,x,a b", "u2,t,c,k,MOT,24,x,\u200bc a"]
+        source.write_text("\n".join([header + ",phonemized", *rows]) + "\n", encoding="utf-8")
+        argv = [arg.format(inventory=fixtures / "french_inventory.csv") for arg in command]
+        message = f"{source}: {where}segment '\\u200bc' contains a format character"
+        assert_clean_error(popen_cli(*argv, str(source)), message)
 
     def test_duplicate_inventory_segment_is_quoted_as_text(self, fixtures, tmp_path):
         inventory_csv = tmp_path / "inventories.csv"
@@ -1113,13 +1175,15 @@ class TestByteOrderMark:
         assert outcomes[0] == outcomes[1] and outcomes[0][0] in (0, 1)
 
     def test_convert_drops_one_mark_from_standard_input(self):
+        """A mark anywhere after the first character is a format character, and refused."""
         argv = ["convert", "--backend", "passthrough", "--uncorrected"]
         proc = popen_cli(*argv, stdin=subprocess.PIPE)
         out, err = proc.communicate("\ufeffa b\n\ufeffc\n", timeout=60)
-        assert (proc.returncode, out, err) == (0, "a b\n\ufeffc\n", "")
+        refused = "ValueError: segment '\\ufeff{}' contains a format character\n"
+        assert (proc.returncode, out, err) == (1, "a b\n\n", "line 2: " + refused.format("c"))
         proc = popen_cli(*argv, stdin=subprocess.PIPE)
         out, err = proc.communicate("\ufeff\ufeffa\n", timeout=60)
-        assert (proc.returncode, out, err) == (0, "\ufeffa\n", "")
+        assert (proc.returncode, out, err) == (1, "\n", "line 1: " + refused.format("a"))
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,9 @@ when no such interpreter starts.
 Since Python 3.12 ``sum`` of floats is compensated, so the newest pyenv
 interpreter that starts checks that ``info_by_age``, which adds each
 utterance's costs left to right, still equals the stream path to the bit.
+
+Under both, importing the package and a ``stats`` run leave ``dataclasses`` and
+``inspect`` unloaded, as under this interpreter.
 """
 
 import csv
@@ -185,6 +188,31 @@ def test_an_inventory_error_names_the_same_line_under_the_oldest_supported_pytho
     assert (oldest.returncode, oldest.stderr) == (current.returncode, current.stderr)
     message = f"error: {inventory}: line 6: bad InventoryID 'x1'\n"
     assert (oldest.returncode, oldest.stderr.decode()) == (2, message)
+
+
+# Imports the package, runs stats and prints which of the class-building modules loaded.
+GUARD = """
+import sys, phonofold, phonofold.cli
+code = phonofold.cli.main(sys.argv[1:])
+print(code, [m for m in ("dataclasses", "inspect") if m in sys.modules], file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("find", [oldest_python, newest_python], ids=["oldest", "newest"])
+def test_no_class_building_module_loads_under_the_oldest_and_newest_python(find):
+    python = find()
+    if python is None:
+        pytest.skip("no such interpreter starts here")
+    observed = str(ROOT / "tests" / "fixtures" / "french_backend_output.txt")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [python, "-c", GUARD, "stats", "--json", observed],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "0 []\n") and proc.stdout
 
 
 # Prints each info_by_age curve and the stream path's, as [bucket, mean.hex(), n] rows.

@@ -62,6 +62,13 @@ class TestIpaSegment:
         with pytest.raises(FormatError, match="^x.json: .*surrogate"):
             as_segments(["a", text], "x.json", None)
 
+    @pytest.mark.parametrize("text", ["\u200b", "a\ufeff", "\u200dx", "t\u00ad", "\u2060"])
+    def test_rejects_format_characters(self, text):
+        with pytest.raises(ValueError, match="format character"):
+            seg(text)
+        with pytest.raises(FormatError, match="^x.json: .*format character"):
+            as_segments(["a", text], "x.json", None)
+
     def test_normalization_is_idempotent(self):
         once = seg("ô")
         assert seg(str(once)) == once
