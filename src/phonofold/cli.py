@@ -17,6 +17,8 @@ import os
 import stat
 import sys
 import time
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 from . import analysis, corpus, folding, g2p, inventory
@@ -267,7 +269,9 @@ def cmd_corpus(args) -> int:
     _refuse_file_at(args.output, "--summary", summary_path, "the --output file")
     with atomic_paths(args.output, summary_path) as (output_temp, summary_temp):
         skipped: list = []  # (line number, problem) of each row the read skipped
-        records = list(corpus.read_corpus(args.input, args.schema, args.child_role, skipped))
+        extra: list = []  # the input's unmapped columns, written even when no row is read
+        records = corpus.read_corpus(args.input, args.schema, args.child_role, skipped, extra)
+        records = list(records)
         started = time.perf_counter()
         converted, summary = corpus.convert_corpus(
             records,
@@ -283,7 +287,7 @@ def cmd_corpus(args) -> int:
         payload = summary.to_json()
         payload["skipped_rows"] = len(skipped)
         payload["seconds"] = round(elapsed, 3)
-        corpus.write_corpus(converted, output_temp, schema=args.schema)
+        corpus.write_corpus(converted, output_temp, schema=args.schema, extra_columns=extra)
         with open_text(summary_temp, "w") as handle:
             json.dump(payload, handle, ensure_ascii=False, indent=2)
     for line_num, problem in skipped:
@@ -313,7 +317,9 @@ def cmd_info(args) -> int:
     with atomic_paths(sink) as (temp,), open_text(temp, "w") as out_handle:
         skipped: list = []
         with open_text(args.input) as handle:  # opened once, so that a pipe can be read
-            records = corpus._read(handle, args.input, args.schema, args.child_role, skipped)
+            read = count(1)  # next(read) - 1: the lines read, up to the record being checked
+            lines = map(itemgetter(0), zip(handle, read))
+            records = corpus._read(lines, args.input, args.schema, args.child_role, skipped)
             _check_phonemized(args.input, next(records))
             try:
                 points = analysis.info_by_age(
@@ -323,7 +329,7 @@ def cmd_info(args) -> int:
             except ValueError as exc:  # a token that is not a segment; a bad read raises as is
                 if isinstance(exc, (PhonofoldError, UnicodeDecodeError)):
                     raise
-                raise FormatError(str(exc), source=args.input) from None
+                raise FormatError(str(exc), source=args.input, line=next(read) - 1) from None
         for line_num, problem in skipped:
             print(f"line {line_num}: {problem}", file=sys.stderr)
         for row in analysis.curve_rows(points):

@@ -115,6 +115,7 @@ def read_corpus(
     schema: dict | None = None,
     child_role: str = CHILD_ROLE,
     row_errors: list | None = None,
+    extra_columns: list | None = None,
 ) -> Iterator[UtteranceRecord]:
     """Yield records from a corpus CSV in file order; blank lines are skipped.
 
@@ -123,14 +124,17 @@ def read_corpus(
     columns are re-read. Rows that cannot be read (a cell count unlike the header's,
     a cell longer than ``csv.field_size_limit``, with every line of that cell) are
     skipped and appended to ``row_errors`` as (line_number, message) if it is a list.
+    The header's unmapped column names, the keys of ``extra``, are added to ``extra_columns``
+    if it is a list, so that they are known when no row is read.
     """
     with open_text(source) as handle:
-        records = _read(handle, getattr(handle, "name", "<file>"), schema, child_role, row_errors)
+        name = getattr(handle, "name", "<file>")
+        records = _read(handle, name, schema, child_role, row_errors, extra_columns)
         next(records)  # the header
         yield from records
 
 
-def _read(handle, name, schema, child_role, row_errors) -> Iterator:
+def _read(handle, name, schema, child_role, row_errors, extra_columns=None) -> Iterator:
     """The header as read (None if there is none), then ``read_corpus``'s records."""
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if "gloss" not in schema:
@@ -151,6 +155,8 @@ def _read(handle, name, schema, child_role, row_errors) -> Iterator:
     errors_at = at.get("errors", width)
     mapped = set(schema.values()) | set(OUTPUT_COLUMNS)
     extra = [(column, i) for column, i in at.items() if column not in mapped]
+    if extra_columns is not None:
+        extra_columns.extend(column for column, _ in extra)
     age_text, age = None, None
     for row in _rows(reader, lines, held, width, row_errors):
         row.append("")  # at position width: the cell of an unmapped field
@@ -287,11 +293,16 @@ def convert_corpus(
     return out, summary
 
 
-def write_corpus(records: Iterable[UtteranceRecord], target, schema: dict | None = None) -> None:
-    """Write records as CSV: original columns plus phonemized/is_child/errors."""
+def write_corpus(
+    records: Iterable[UtteranceRecord], target, schema: dict | None = None, extra_columns=None
+) -> None:
+    """Write records as CSV: original columns plus phonemized/is_child/errors.
+
+    The unmapped columns are ``extra_columns``, by default the first record's ``extra`` keys."""
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     records = list(records)
-    extra_columns = list(records[0].extra) if records else []
+    if extra_columns is None:
+        extra_columns = list(records[0].extra) if records else []
     header = list(schema.values()) + extra_columns + list(OUTPUT_COLUMNS)
 
     def rows():

@@ -9,7 +9,9 @@ PHOIBLE repeats the same few hundred segments, with the same feature cells, acro
 inventories. The loader checks every row, but decodes each distinct row of feature cells once:
 segments with the same cells share one read-only ``InventorySegment.features`` mapping, and
 rows with the same phoneme, class and cells share one ``InventorySegment``. When the three
-per-inventory columns lead the header, each distinct row tail (after the third comma) is read once.
+per-inventory columns lead the header, the csv module reads a line only at the first sight of
+its tail (the text after its third comma), or if its head (the text before) is not plain text. A
+line whose head and tail both passed before is only checked for a duplicate segment.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 import operator
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -35,12 +37,8 @@ class TernaryValue(Enum):
     MINUS = "-"
     UNSPECIFIED = "0"
 
-    @classmethod
-    def from_cell(cls, cell: str) -> "TernaryValue":
-        # multi-valued cells like "+,-" and anything unrecognized are UNSPECIFIED
-        return _CELL_VALUES.get(cell.strip(), cls.UNSPECIFIED)
 
-
+# A stripped cell's value; multi-valued cells like "+,-" and anything unrecognized are UNSPECIFIED.
 _CELL_VALUES = {"+": TernaryValue.PLUS, "-": TernaryValue.MINUS}
 
 
@@ -122,12 +120,22 @@ def load_inventories(source) -> list[Inventory]:
         return _load(handle, getattr(handle, "name", "<file>"))
 
 
-def _records(lines, known: Collection[str], name: str, line_num: int):
-    """Yield ``(line, row, tail)`` per record after line ``line_num``: its last line, its cells,
-    and the text after its third comma if ``known`` holds that text (else None)."""
+def _records(lines, known: Mapping, heads: Mapping, name: str, line_num: int):
+    """Yield ``(line, row, tail, head)`` per record after line ``line_num``: its last line, its
+    cells, the text after its third comma if ``known`` holds that text (else None), and its head,
+    the text up to there. A line with a head in ``heads`` and a tail in ``known`` is not yielded:
+    its segment joins that head's segment dict here, unless that dict holds it (an error)."""
     limit = csv.field_size_limit()
+    cached, segments = (), {}  # the cached head last met, and its segments; () starts no line
     for line in lines:
         line_num += 1
+        if not line.startswith(cached):
+            head = line[: len(line) - len(line.split(",", 3)[-1])]
+            cached, segments = (head, heads[head]) if head in heads else ((), {})
+        inv_seg = known.get(line[len(cached) :]) if cached else None
+        if inv_seg is not None and inv_seg.segment not in segments:
+            segments[inv_seg.segment] = inv_seg
+            continue
         row = line.split(",", 3)
         head = line[: len(line) - len(row[-1])]  # split only where csv reads the same 3 cells
         plain = not ('"' in head or "\0" in head or "\r" in head or len(head) > limit)
@@ -137,7 +145,7 @@ def _records(lines, known: Collection[str], name: str, line_num: int):
             row = next(csv_rows(reader, name, line_num - 1))
             if reader.line_num > 1:  # it read on past this line: the tail is not the row's
                 tail, line_num = None, line_num + reader.line_num - 1
-        yield line_num, row, tail
+        yield line_num, row, tail, head
 
 
 def _load(handle, name: str) -> list[Inventory]:
@@ -158,12 +166,13 @@ def _load(handle, name: str) -> list[Inventory]:
     # one: a tail row keeps no tuple of its cells, and a str key never equals a tuple key.
     decoded: dict[tuple, Mapping[str, TernaryValue]] = {}
     shared: dict[str | tuple, InventorySegment] = {}
+    heads: dict[str, dict] = {}  # a plain head whose id passed -> its inventory's segments
     leads = {id_pos, language_pos, iso_pos} == {0, 1, 2}
-    numbered = ((reader.line_num, row, None) for row in csv_rows(reader, name))
-    records = _records(lines, shared, name, reader.line_num) if leads else numbered
+    numbered = ((reader.line_num, row, None, None) for row in csv_rows(reader, name))
+    records = _records(lines, shared, heads, name, reader.line_num) if leads else numbered
 
     grouped: dict[int, tuple[str, str, dict]] = {}
-    for line_num, row, tail in records:
+    for line_num, row, tail, head in records:
         inv_seg = shared.get(tail)  # a tail read before passed every check of its cells
         if inv_seg is None:
             if not any(map(str.strip, row)):
@@ -187,9 +196,9 @@ def _load(handle, name: str) -> list[Inventory]:
                     raise FormatError(message, source=name, line=line_num)
                 (segment,) = as_segments([seg_text], name, line_num)
                 if cells not in decoded:
-                    decoded[cells] = MappingProxyType(
-                        dict(zip(feature_names, map(TernaryValue.from_cell, cells)))
-                    )
+                    unspecified = repeat(TernaryValue.UNSPECIFIED)
+                    values = map(_CELL_VALUES.get, map(str.strip, cells), unspecified)
+                    decoded[cells] = MappingProxyType(dict(zip(feature_names, values)))
                 inv_seg = InventorySegment(segment, seg_class, decoded[cells])
                 shared[key if tail is None else tail] = inv_seg
             elif tail is not None:  # a segment first read without a tail
@@ -197,6 +206,8 @@ def _load(handle, name: str) -> list[Inventory]:
         if inv_id not in grouped:
             grouped[inv_id] = (row[language_pos].strip(), row[iso_pos].strip(), {})
         inv_segments = grouped[inv_id][2]
+        if tail is not None:  # a one-line record: csv read the head's text as its 3 cells
+            heads[head] = inv_segments
         segment = inv_seg.segment
         if segment in inv_segments:
             message = f"duplicate segment {segment!r} in inventory {inv_id}"

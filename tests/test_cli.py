@@ -410,6 +410,17 @@ class TestCorpus:
         summary = json.loads((tmp_path / "out.csv.summary.json").read_text(encoding="utf-8"))
         assert (summary["rows"], summary["errors"]) == (3, 1)
 
+    @pytest.mark.parametrize("rows", ["", "u1,t,c,col,MOT,18\n"], ids=["no rows", "all skipped"])
+    def test_extra_columns_are_written_when_no_row_is_read(self, capsys, tmp_path, rows):
+        source, out_csv = tmp_path / "in.csv", tmp_path / "out.csv"
+        header = "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss"
+        source.write_text(f"{header},pos\n{rows}", encoding="utf-8")
+        argv = ["--uncorrected", "--input", str(source), "--output", str(out_csv)]
+        code, _, _ = run(capsys, "corpus", "--backend", "passthrough", *argv)
+        assert code == (1 if rows else 0)
+        written = out_csv.read_text(encoding="utf-8")
+        assert written == f"{header},pos,phonemized,is_child,errors\n"
+
     def test_schema_from_config_file(self, capsys, fixtures, tmp_path):
         src = tmp_path / "renamed.csv"
         src.write_text(
@@ -1005,7 +1016,7 @@ class TestUserFileErrors:
             (["stats", "--json"], "line 3: "),
             (["validate", "--inventory", "{inventory}", *FRENCH_ARGS], "line 3: "),
             (["match", "--inventory", "{inventory}"], "line 3: "),
-            (["info"], ""),  # info's records carry no line number
+            (["info"], "line 3: "),
         ],
         ids=["stats", "validate", "match", "info"],
     )

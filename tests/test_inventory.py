@@ -1,11 +1,13 @@
 import csv
 import io
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonofold import inventory
 from phonofold.analysis import eligible_features
 from phonofold.errors import FormatError, UnknownFeatureError, UnknownSegmentError
 from phonofold.inventory import (
@@ -417,11 +419,16 @@ def inventory_csvs(draw):
 
     Columns come in any order, but at least half the time the three
     per-inventory columns come first; one feature name may appear twice.
-    Every row draws its cells from a pool of up to three cell rows, so rows
-    often share cells, and one phoneme can carry different features in
-    different inventories. Language names may hold a comma or a quote and
-    feature cells a newline; lines end in LF or CRLF, and the last may have
-    no line ending. Blank rows are mixed in, and at times one row is made bad.
+    Every inventory draws its rows from one pool of up to eight (phoneme,
+    class, cell row) entries, and every cell row from a pool of up to three,
+    so row tails repeat across inventories and within one a first sight may
+    come before a repeat; one phoneme can carry different features in
+    different inventories. An inventory's rows may come in two runs, the
+    second after every other inventory's first run and at times under
+    another spelling of its id (" 1" for "1") or another language name.
+    Language names may hold a comma or a quote and feature cells a newline;
+    lines end in LF or CRLF, and the last may have no line ending. Blank rows
+    are mixed in, and at times one row is made bad.
     """
     features = draw(st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=5, unique=True))
     if features and draw(st.booleans()):
@@ -431,21 +438,30 @@ def inventory_csvs(draw):
         header = draw(st.permutations(columns[:3])) + draw(st.permutations(columns[3:]))
     else:
         header = draw(st.permutations(columns))
-    rows = []
     cell_row = st.fixed_dictionaries(
         {f"feat_{f}": st.sampled_from(FEATURE_CELLS) for f in features}
     )
     cell_rows = draw(st.lists(cell_row, min_size=1, max_size=3))
-    for inv_id in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)):
+    classes = st.sampled_from(["vowel", "consonant", "tone", " Vowel "])
+    entry = st.tuples(st.sampled_from(PHONEMES), classes, st.sampled_from(cell_rows))
+    pool = draw(st.lists(entry, min_size=1, max_size=8))
+    runs, later_runs = [], []
+    for inv_id in draw(st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True)):
         language = draw(st.sampled_from(LANGUAGE_NAMES)).format(inv_id)
-        for phoneme in draw(st.lists(st.sampled_from(PHONEMES), max_size=6, unique=True)):
-            cells = draw(st.sampled_from(cell_rows))
+        entries = draw(st.lists(st.sampled_from(pool), max_size=6, unique_by=lambda e: e[0]))
+        split = draw(st.integers(0, len(entries)))
+        runs.append((str(inv_id), language, entries[:split]))
+        id_cell = draw(st.sampled_from([str(inv_id), f" {inv_id}"]))
+        later_runs.append((id_cell, draw(st.sampled_from([language, "Other"])), entries[split:]))
+    rows = []
+    for id_cell, language, entries in runs + later_runs:
+        for phoneme, segment_class, cells in entries:
             fixed = {
-                "InventoryID": str(inv_id),
+                "InventoryID": id_cell,
                 "LanguageName": language,
                 "ISO6393": "qaa",
                 "Phoneme": phoneme,
-                "SegmentClass": draw(st.sampled_from(["vowel", "consonant", "tone", " Vowel "])),
+                "SegmentClass": segment_class,
             }
             rows.append([fixed.get(col, cells.get(col)) for col in header])
     defect = draw(st.sampled_from([None, None, None, "short", *BAD_CELLS]))
@@ -489,6 +505,26 @@ def test_loader_agrees_with_eager_oracle(text, observed):
     if expected:
         ranked = [(inv.id, score) for inv, score in best_match(observed, got)]
         assert ranked == [(inv.id, score) for inv, score in best_match(observed, expected)]
+
+
+def test_a_line_repeating_a_known_head_and_tail_is_not_parsed_again(monkeypatch):
+    """200 inventories of 30 rows drawn from 40 distinct tails: the csv module reads the header
+    and each tail's first sight, and an id is read once per head or first-sight tail."""
+    rng = random.Random(27)
+    phonemes = [chr(code) for code in range(0x250, 0x250 + 40)]  # ɐ ɑ ɒ ɓ ɔ …
+    tails = [f"{p},consonant,{rng.choice('+-0')},{rng.choice('+-0')}\n" for p in phonemes]
+    lines = [HEADER]
+    for inv_id in range(1, 201):
+        lines += [f"{inv_id},Lang{inv_id},qaa,{tail}" for tail in rng.sample(tails, 30)]
+    text = "".join(lines)
+    expected = eager_load_oracle(text)
+    readers, ids_read = [], []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: readers.append(1) or reader(*args))
+    monkeypatch.setattr(inventory, "int", lambda text: ids_read.append(1) or int(text), False)
+    assert load_csv(text) == expected
+    assert len(readers) <= 1 + len(tails)
+    assert len(ids_read) <= 200 + len(tails)
 
 
 @settings(max_examples=100, deadline=None)
