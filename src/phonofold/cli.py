@@ -270,8 +270,7 @@ def cmd_corpus(args) -> int:
     with atomic_paths(args.output, summary_path) as (output_temp, summary_temp):
         skipped: list = []  # (line number, problem) of each row the read skipped
         extra: list = []  # the input's unmapped columns, written even when no row is read
-        records = corpus.read_corpus(args.input, args.schema, args.child_role, skipped, extra)
-        records = list(records)
+        records = list(corpus.read_corpus(args.input, args.schema, args.child_role, skipped, extra))
         started = time.perf_counter()
         converted, summary = corpus.convert_corpus(
             records,

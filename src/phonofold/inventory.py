@@ -214,10 +214,12 @@ def _load(handle, name: str) -> list[Inventory]:
             raise FormatError(message, source=name, line=line_num)
         inv_segments[segment] = inv_seg
 
-    return [
-        Inventory(inv_id, language, iso, tuple(inv_segments.values()))
-        for inv_id, (language, iso, inv_segments) in grouped.items()
-    ]
+    heads.clear()  # then each segment dict is freed once its Inventory, with its own index, is built
+    inventories = []
+    for inv_id in list(grouped):
+        language, iso, inv_segments = grouped.pop(inv_id)
+        inventories.append(Inventory(inv_id, language, iso, tuple(inv_segments.values())))
+    return inventories
 
 
 def count_profile(source) -> CountProfile:
