@@ -214,7 +214,7 @@ def _load(handle, name: str) -> list[Inventory]:
             raise FormatError(message, source=name, line=line_num)
         inv_segments[segment] = inv_seg
 
-    heads.clear()  # then each segment dict is freed once its Inventory, with its own index, is built
+    heads.clear()  # then each segment dict is freed once its Inventory (own index) is built
     inventories = []
     for inv_id in list(grouped):
         language, iso, inv_segments = grouped.pop(inv_id)
