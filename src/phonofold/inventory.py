@@ -124,7 +124,7 @@ def _records(lines, known: Mapping, heads: Mapping, name: str, line_num: int):
     """Yield ``(line, row, tail, head)`` per record after line ``line_num``: its last line, its
     cells, the text after its third comma if ``known`` holds that text (else None), and its head,
     the text up to there. A line with a head in ``heads`` and a tail in ``known`` is not yielded:
-    its segment joins that head's segment dict here, unless that dict holds it (an error)."""
+    its segment joins that head's segment dict here, unless it is a duplicate, yielded to report."""
     limit = csv.field_size_limit()
     cached, segments = (), {}  # the cached head last met, and its segments; () starts no line
     for line in lines:
@@ -214,7 +214,7 @@ def _load(handle, name: str) -> list[Inventory]:
             raise FormatError(message, source=name, line=line_num)
         inv_segments[segment] = inv_seg
 
-    heads.clear()  # then each segment dict is freed once its Inventory (own index) is built
+    heads.clear()  # so each segment dict is freed as its Inventory, which indexes its own, is built
     inventories = []
     for inv_id in list(grouped):
         language, iso, inv_segments = grouped.pop(inv_id)

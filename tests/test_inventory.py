@@ -521,7 +521,12 @@ def test_a_line_repeating_a_known_head_and_tail_is_not_parsed_again(monkeypatch)
     readers, ids_read = [], []
     reader = csv.reader
     monkeypatch.setattr(csv, "reader", lambda *args: readers.append(1) or reader(*args))
-    monkeypatch.setattr(inventory, "int", lambda text: ids_read.append(1) or int(text), False)
+
+    def counted_int(id_cell):
+        ids_read.append(id_cell)
+        return int(id_cell)
+
+    monkeypatch.setattr(inventory, "int", counted_int, raising=False)
     assert load_csv(text) == expected
     assert len(readers) <= 1 + len(tails)
     assert len(ids_read) <= 200 + len(tails)
