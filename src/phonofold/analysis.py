@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import FormatError, UnseenSymbolError
 from .inventory import Inventory, TernaryValue
 from .stream import IpaSegment, PhonemeStream, _Record, coerce_token, column_positions, csv_rows
-from .stream import open_text
+from .stream import open_text, source_name
 
 # numpy is imported inside the three functions that use it, so a command
 # that never reaches them does not pay for loading it.
@@ -245,7 +245,7 @@ def load_labeled_vectors(source, label_column: str = "label") -> LabeledVectorSe
 
     labels, vectors = [], []
     with open_text(source) as handle:
-        name = getattr(handle, "name", "<file>")
+        name = source_name(handle)
         reader = csv.reader(handle)
         rows = csv_rows(reader, name)
         header = next(rows, [])
@@ -273,7 +273,7 @@ def load_labeled_vectors(source, label_column: str = "label") -> LabeledVectorSe
     return LabeledVectorSet(np.array(vectors), tuple(labels))
 
 
-def silhouette(data: LabeledVectorSet, metric: str = "euclidean") -> float:
+def silhouette(data: LabeledVectorSet) -> float:
     """Mean silhouette score over all points, Euclidean distance.
 
     Per point, s = (b - a) / max(a, b) where a is the mean distance to the
@@ -282,8 +282,6 @@ def silhouette(data: LabeledVectorSet, metric: str = "euclidean") -> float:
     """
     import numpy as np
 
-    if metric != "euclidean":
-        raise ValueError("only the euclidean metric is supported")
     vectors = data.vectors
     labels = np.asarray(data.labels, dtype=object)
     unique = sorted(set(data.labels), key=str)

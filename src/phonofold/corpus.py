@@ -20,7 +20,7 @@ from .errors import FormatError, PhonofoldError
 from .folding import FoldMap, apply_fold
 from .g2p import convert_utterance
 from .stream import IpaSegment, _Record, column_positions, csv_rows, emit_stream, open_text
-from .stream import segment_types
+from .stream import segment_types, source_name
 
 AVERAGE_MONTH_DAYS = 30.44
 
@@ -128,7 +128,7 @@ def read_corpus(
     if it is a list, so that they are known when no row is read.
     """
     with open_text(source) as handle:
-        name = getattr(handle, "name", "<file>")
+        name = source_name(handle)
         records = _read(handle, name, schema, child_role, row_errors, extra_columns)
         next(records)  # the header
         yield from records
@@ -202,7 +202,7 @@ def _rows(reader, lines, held: list, width: int, row_errors) -> Iterator[list]:
 
 
 class RunSummary:
-    """Associatively mergeable per-run conversion summary."""
+    """Per-run conversion summary."""
 
     _fields = ("rows", "errors", "observed", "unmapped")
     __eq__, __repr__, __hash__ = _Record.__eq__, _Record.__repr__, None
@@ -211,12 +211,6 @@ class RunSummary:
         self.rows, self.errors = rows, errors
         self.observed = set() if observed is None else observed
         self.unmapped = set() if unmapped is None else unmapped
-
-    def merge(self, other: "RunSummary") -> None:
-        self.rows += other.rows
-        self.errors += other.errors
-        self.observed |= other.observed
-        self.unmapped |= other.unmapped
 
     def to_json(self) -> dict:
         return {

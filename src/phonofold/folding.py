@@ -19,7 +19,7 @@ from .errors import FormatError
 from .g2p import DELETION_MARK, RewriteRule, _split_rule_line
 from .inventory import Inventory
 from .stream import IpaSegment, PhonemeStream, _Record, as_segments, content_lines, read_text
-from .stream import repair_tokens
+from .stream import STRING_SOURCE, repair_tokens
 
 
 class RuleKind(Enum):
@@ -56,7 +56,7 @@ class FoldRule(RewriteRule):
 class FoldMap(_Record):
     _fields = ("rules", "provenance")
 
-    def __init__(self, rules: tuple[FoldRule, ...], provenance: str = "<string>"):
+    def __init__(self, rules: tuple[FoldRule, ...], provenance: str = STRING_SOURCE):
         vars(self).update(rules=rules, provenance=provenance)
 
     @cached_property
@@ -86,7 +86,7 @@ class DiffReport(_Record):
         vars(self).update(observed=observed, reference=reference, unknown=unknown, unseen=unseen)
 
 
-def parse_fold_map(text: str, source: str = "<string>") -> FoldMap:
+def parse_fold_map(text: str, source: str = STRING_SOURCE) -> FoldMap:
     """Parse rule-file lines with no context: "lhs -> rhs", "∅" or an empty rhs deletes.
 
     Lines whose first non-blank character is ``#`` are comments. Duplicate

@@ -33,7 +33,7 @@ from .errors import (
     UnknownSegmentError,
 )
 from .stream import Boundary, IpaSegment, PhonemeStream, _Record, as_segments, coerce_token
-from .stream import content_lines, read_text, repair_tokens
+from .stream import STRING_SOURCE, content_lines, read_text, repair_tokens
 
 DELETION_MARK = "∅"
 
@@ -162,20 +162,14 @@ class Lexicon(_Record):
 
 
 class SyllableTable(_Record):
-    """Romanized syllable -> (segments, optional tone glyphs).
+    """Romanized syllable -> (segments, optional tone glyphs)."""
 
-    ``syllabic_segments`` hosts per-language nucleus exceptions (for
-    example syllabic nasals); the default nucleus is the first vowel.
-    """
+    _fields = ("entries",)
 
-    _fields = ("entries", "syllabic_segments")
-
-    def __init__(self, entries: dict, syllabic_segments: frozenset = frozenset()):
+    def __init__(self, entries: dict):
         if "" in entries:
             raise ValueError("syllable keys must be non-empty")
-        vars(self).update(
-            entries=entries, syllabic_segments=syllabic_segments, _pattern=_longest_first(entries)
-        )
+        vars(self).update(entries=entries, _pattern=_longest_first(entries))
 
 
 def convert_rules(rules: RuleSet, word: str) -> tuple[list[IpaSegment], set[str]]:
@@ -247,23 +241,21 @@ def syllable_to_ipa(table: SyllableTable, syllable: str) -> tuple[list[IpaSegmen
     return list(segments), tone
 
 
-def _nucleus_index(segments: Sequence[IpaSegment], syllabic: frozenset) -> int | None:
+def _nucleus_index(segments: Sequence[IpaSegment]) -> int | None:
     for i, seg in enumerate(segments):
         if count_vowel_glyphs(seg) > 0:
             return i
     for i, seg in enumerate(segments):
-        if seg in syllabic or is_syllabic_marked(seg):
+        if is_syllabic_marked(seg):
             return i
     return None
 
 
 def merge_tones(
-    segments: Sequence[IpaSegment],
-    tone: str | None,
-    split_tones: bool = False,
-    syllabic: frozenset = frozenset(),
+    segments: Sequence[IpaSegment], tone: str | None, split_tones: bool = False
 ) -> list[IpaSegment]:
-    """Attach a tone mark to the syllable nucleus.
+    """Attach a tone mark to the syllable nucleus: the first vowel, else the first
+    consonant written with a syllabic mark (``m̩``, ``ŋ̍``).
 
     Merged (default), the tone glyphs join the nucleus segment into one
     token; with ``split_tones`` the tone becomes its own token directly
@@ -272,7 +264,7 @@ def merge_tones(
     out = list(segments)
     if not tone:
         return out
-    nucleus = _nucleus_index(out, syllabic)
+    nucleus = _nucleus_index(out)
     if nucleus is None:
         raise ToneAttachmentError(f"no nucleus for tone {tone!r} in {out!r}")
     if split_tones:
@@ -322,14 +314,7 @@ class SyllabaryBackend(_Record):
         segments: list[IpaSegment] = []
         for syllable in syllabify(self.table, word):
             base, tone = syllable_to_ipa(self.table, syllable)
-            segments.extend(
-                merge_tones(
-                    base,
-                    tone,
-                    split_tones=self.split_tones,
-                    syllabic=self.table.syllabic_segments,
-                )
-            )
+            segments.extend(merge_tones(base, tone, split_tones=self.split_tones))
         return segments, set()
 
 
@@ -428,7 +413,7 @@ def _build_rewrite(lhs, rhs, context, as_chars: bool, source: str, line_num: int
     )
 
 
-def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
+def parse_rule_file(text: str, source: str = STRING_SOURCE) -> RuleSet:
     """Parse the pre/map/post rule file format into a RuleSet."""
     pre: list[RewriteRule] = []
     post: list[RewriteRule] = []
@@ -457,7 +442,7 @@ def load_rule_file(path) -> RuleSet:
     return parse_rule_file(read_text(path), source=str(path))
 
 
-def parse_lexicon(text: str, source: str = "<string>") -> Lexicon:
+def parse_lexicon(text: str, source: str = STRING_SOURCE) -> Lexicon:
     """Parse the two-column tab-separated lexicon format.
 
     The first entry for a word wins, matching the primary-pronunciation
@@ -482,9 +467,7 @@ def load_lexicon(path) -> Lexicon:
     return parse_lexicon(read_text(path), source=str(path))
 
 
-def parse_syllable_table(
-    text: str, source: str = "<string>", syllabic_segments: Iterable[str] = ()
-) -> SyllableTable:
+def parse_syllable_table(text: str, source: str = STRING_SOURCE) -> SyllableTable:
     """Parse the three-column tab-separated syllable table format."""
     entries: dict = {}
     first_line: dict = {}
@@ -510,10 +493,8 @@ def parse_syllable_table(
         tone = as_segments([tone_text], source, line_num)[0] if tone_text else None
         entries[key] = (segments, tone)
         first_line[key] = line_num
-    return SyllableTable(entries, frozenset(IpaSegment(s) for s in syllabic_segments))
+    return SyllableTable(entries)
 
 
-def load_syllable_table(path, syllabic_segments: Iterable[str] = ()) -> SyllableTable:
-    return parse_syllable_table(
-        read_text(path), source=str(path), syllabic_segments=syllabic_segments
-    )
+def load_syllable_table(path) -> SyllableTable:
+    return parse_syllable_table(read_text(path), source=str(path))

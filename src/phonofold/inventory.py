@@ -3,7 +3,8 @@
 Inventories are ingested from a PHOIBLE-style CSV: the five fixed columns
 InventoryID, LanguageName, ISO6393, Phoneme and SegmentClass, followed by any
 number of feature columns. The feature schema is taken from the header
-verbatim, so the loader survives schema changes in the source database.
+verbatim, so the loader survives schema changes in the source database. Of two
+columns with one name, the last is read.
 
 PHOIBLE repeats the same few hundred segments, with the same feature cells, across its
 inventories. The loader checks every row, but decodes each distinct row of feature cells once:
@@ -25,7 +26,8 @@ from typing import Collection, Iterable, Mapping
 
 from .chars import classify_segment, count_vowel_glyphs
 from .errors import FormatError, UnknownFeatureError, UnknownSegmentError
-from .stream import IpaSegment, _Record, as_segments, csv_rows, open_text
+from .stream import IpaSegment, _Record, as_segments, column_positions, csv_rows, open_text
+from .stream import source_name
 
 REQUIRED_COLUMNS = ("InventoryID", "LanguageName", "ISO6393", "Phoneme", "SegmentClass")
 
@@ -117,7 +119,7 @@ def is_diphthong(seg: InventorySegment) -> bool:
 def load_inventories(source) -> list[Inventory]:
     """Load all inventories from a CSV file path or open text file."""
     with open_text(source) as handle:
-        return _load(handle, getattr(handle, "name", "<file>"))
+        return _load(handle, source_name(handle))
 
 
 def _records(lines, known: Mapping, heads: Mapping, name: str, line_num: int):
@@ -154,13 +156,12 @@ def _load(handle, name: str) -> list[Inventory]:
     header = next(csv_rows(reader, name), None)
     if header is None:
         raise FormatError("empty inventory file", source=name)
-    header = [col.strip() for col in header]
+    at = column_positions([col.strip() for col in header])
     for col in REQUIRED_COLUMNS:
-        if col not in header:
+        if col not in at:
             raise FormatError(f"missing column {col!r}", source=name)
-    id_pos, language_pos, iso_pos, phoneme_pos, class_pos = map(header.index, REQUIRED_COLUMNS)
-    feature_names = [col for col in header if col not in REQUIRED_COLUMNS]
-    feature_positions = [header.index(col) for col in feature_names]
+    id_pos, language_pos, iso_pos, phoneme_pos, class_pos = map(at.pop, REQUIRED_COLUMNS)
+    feature_names, feature_positions = list(at), list(at.values())
     key_of = operator.itemgetter(phoneme_pos, class_pos, *feature_positions)
     # One InventorySegment per row tail, or per (phoneme, class, cells) for a row read without
     # one: a tail row keeps no tuple of its cells, and a str key never equals a tuple key.

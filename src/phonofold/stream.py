@@ -35,6 +35,7 @@ from .errors import ConfigError, FormatError
 
 WORD_BOUNDARY = "WORD_BOUNDARY"
 UTT_BOUNDARY = "UTT_BOUNDARY"
+STRING_SOURCE = "<string>"  # the source an error names for text given as a string
 
 
 class Boundary(Enum):
@@ -63,6 +64,8 @@ class IpaSegment(str):
         if any(map(str.isspace, normalized)):
             raise ValueError(f"segment {text!r} contains whitespace")
         categories = set(map(unicodedata.category, normalized))
+        if "Cc" in categories:  # U+0000, U+0007, U+007F, ...
+            raise ValueError(f"segment {text!r} contains a control character")
         if "Cs" in categories:  # U+D800-U+DFFF
             raise ValueError(f"segment {text!r} contains a surrogate code point")
         if "Cf" in categories:  # U+200B, U+FEFF, ...
@@ -92,10 +95,15 @@ def _text_handle(handle, mode: str, close: bool):
         if "r" not in mode:
             raise
         message = f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
-        raise FormatError(message, source=getattr(handle, "name", "<file>")) from None
+        raise FormatError(message, source=source_name(handle)) from None
     finally:
         if close:
             handle.close()
+
+
+def source_name(handle) -> str:
+    """The name an error gives the source of an open handle: its file name, else ``<file>``."""
+    return getattr(handle, "name", "<file>")
 
 
 def csv_rows(reader, source, offset: int = 0) -> Iterator[list[str]]:

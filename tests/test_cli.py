@@ -330,6 +330,19 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["unknown"] == ["q"]
 
+    def test_text_form_lists_each_suggestion(self, capsys, tmp_path):
+        observed, inventory_csv = tmp_path / "observed.txt", tmp_path / "inv.csv"
+        observed.write_text("t a\n", encoding="utf-8")
+        inventory_csv.write_text(
+            "InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass\n"
+            "7,Toy,qaa,tʰ,consonant\n7,Toy,qaa,a,vowel\n",
+            encoding="utf-8",
+        )
+        argv = ["--inventory", str(inventory_csv), "--inventory-id", "7", str(observed)]
+        code, out, _ = run(capsys, "validate", *argv)
+        assert code == 1
+        assert out == "unknown (1): t\nunseen  (1): tʰ\nsuggest t -> tʰ  [diacritic]\n"
+
 
 class TestMatch:
     def test_ranked_output(self, capsys, fixtures, tmp_path):
@@ -403,12 +416,36 @@ class TestCorpus:
         argv = ["--uncorrected", "--input", str(source), "--output", str(out_csv)]
         code, _, err = run(capsys, "corpus", "--backend", "rules", "--rules", rules, *argv)
         assert (code, err) == (1, "3 rows, 1 errors, 0 skipped\n")
-        written = list(csv.DictReader(out_csv.open(encoding="utf-8", newline="")))
+        with out_csv.open(encoding="utf-8", newline="") as handle:
+            written = list(csv.DictReader(handle))
         assert [row["phonemized"] for row in written] == ["tʃ a", "", "tʃ a tʃ a"]
         refused = "ValueError: segment '\\u200b' contains a format character"
         assert [row["errors"] for row in written] == ["", refused, ""]
         summary = json.loads((tmp_path / "out.csv.summary.json").read_text(encoding="utf-8"))
         assert (summary["rows"], summary["errors"]) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "backend, gloss, token",
+        [("rules", "cha\x07", "\\x07"), ("passthrough", "a \x7f b", "\\x7f")],
+    )
+    def test_a_control_character_is_a_row_error_and_the_run_goes_on(
+        self, capsys, fixtures, tmp_path, backend, gloss, token
+    ):
+        source, out_csv = tmp_path / "in.csv", tmp_path / "out.csv"
+        header = "id,transcript_id,corpus_id,collection_id,speaker_role,target_child_age,gloss\n"
+        rows = [f"u{i},t,c,col,MOT,18,{g}\n" for i, g in enumerate(["a", gloss, "a a"])]
+        source.write_text(header + "".join(rows), encoding="utf-8")
+        argv = ["--uncorrected", "--input", str(source), "--output", str(out_csv)]
+        argv += ["--backend", backend, "--rules", str(fixtures / "cha.rules")]
+        code, _, err = run(capsys, "corpus", *argv)
+        assert (code, err) == (1, "3 rows, 1 errors, 0 skipped\n")
+        with out_csv.open(encoding="utf-8", newline="") as handle:
+            written = list(csv.DictReader(handle))
+        assert [row["phonemized"] for row in written] == ["a", "", "a a"]
+        refused = f"ValueError: segment '{token}' contains a control character"
+        assert [row["errors"] for row in written] == ["", refused, ""]
+        summary = json.loads((tmp_path / "out.csv.summary.json").read_text(encoding="utf-8"))
+        assert summary["observed_segments"] == ["a"]
 
     @pytest.mark.parametrize("rows", ["", "u1,t,c,col,MOT,18\n"], ids=["no rows", "all skipped"])
     def test_extra_columns_are_written_when_no_row_is_read(self, capsys, tmp_path, rows):

@@ -95,6 +95,11 @@ class TestReadCorpus:
         with pytest.raises(FormatError, match="gloss"):
             list(read_corpus(io.StringIO("id,speaker_role\n1,MOT\n")))
 
+    def test_a_schema_that_maps_no_gloss_is_format_error(self):
+        schema = {"utterance_id": "id", "speaker_role": "speaker_role"}
+        with pytest.raises(FormatError, match="^<file>: schema must map the gloss column$"):
+            list(read_corpus(io.StringIO("id,speaker_role,gloss\n1,MOT,hi\n"), schema))
+
     def test_bad_rows_skipped_and_counted(self):
         header = ",".join(DEFAULT_SCHEMA.values())
         text = header + "\nu1,t,c,col,MOT,18,hi,extra-cell\nu2,t,c,col,CHI,19,yo\n"
@@ -442,7 +447,8 @@ class TestWriteCorpus:
         buffer = io.StringIO()
         write_corpus(out, buffer)
         buffer.seek(0)
-        original = list(csv.DictReader(open(fixtures / "corpus_small.csv", encoding="utf-8")))
+        with open(fixtures / "corpus_small.csv", encoding="utf-8") as handle:
+            original = list(csv.DictReader(handle))
         written = list(csv.DictReader(buffer))
         assert len(written) == len(original)
         for before, after in zip(original, written):

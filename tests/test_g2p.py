@@ -74,6 +74,10 @@ class TestConvertRules:
         assert segments == ["x"]
         assert unmapped == {"x"}
 
+    def test_an_empty_grapheme_is_refused(self):
+        with pytest.raises(ValueError, match="^grapheme strings must be non-empty$"):
+            GraphemeMap([("", ["a"])])
+
     def test_post_rule_merges_consonant_pair(self):
         ruleset = RuleSet(
             grapheme_map=GraphemeMap([("d", ["d"]), ("ž", ["ʒ"]), ("a", ["a"])]),
@@ -421,6 +425,11 @@ class TestSyllabary:
         with pytest.raises(ValueError, match="non-empty"):
             SyllableTable({"": (("a",), None), "a": (("a",), None)})
 
+    def test_an_entry_with_no_segments_is_refused(self):
+        message = r"^t3\.tsv: line 1: entry needs at least one segment$"
+        with pytest.raises(FormatError, match=message):
+            parse_syllable_table("ma\t\t˥\n", source="t3.tsv")
+
 
 def syllabify_by_length(table, text):
     """Oracle: at each position, try every key length, longest first."""
@@ -473,8 +482,7 @@ class TestMergeTones:
             merge_tones([IpaSegment("s")], "˥")
 
     def test_syllabic_consonant_as_nucleus(self):
-        syllabic = frozenset({IpaSegment("m̩")})
-        assert merge_tones([IpaSegment("m̩")], "˨˩", syllabic=syllabic) == ["m̩˨˩"]
+        assert merge_tones([IpaSegment("m̩")], "˨˩") == ["m̩˨˩"]
 
     def test_no_tone_is_identity(self):
         assert merge_tones([IpaSegment("d"), IpaSegment("ə")], None) == ["d", "ə"]

@@ -77,6 +77,25 @@ class TestLoad:
         assert feature_of(invs[0], "a", "syllabic") is TernaryValue.UNSPECIFIED
         assert feature_of(invs[0], "a", "voiced") is TernaryValue.UNSPECIFIED
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            (
+                "InventoryID,LanguageName,ISO6393,Phoneme,SegmentClass,tone,tone\n",
+                "{id},Toy,qaa,a,vowel,+,-\n",
+            ),
+            (
+                "tone,Phoneme,SegmentClass,tone,InventoryID,LanguageName,ISO6393\n",
+                "+,a,vowel,-,{id},Toy,qaa\n",
+            ),
+        ],
+        ids=["leading", "trailing"],
+    )
+    def test_of_two_columns_with_one_name_the_last_is_read(self, header, row):
+        invs = load_csv(header + row.format(id=1) + row.format(id=2))  # the second repeats a tail
+        assert [feature_of(inv, "a", "tone") for inv in invs] == [TernaryValue.MINUS] * 2
+        assert list(invs[0].segments[0].features) == ["tone"]
+
 
 class TestInventoryIndex:
     def test_direct_construction_names_the_first_segment_seen_twice(self):
@@ -260,6 +279,19 @@ class TestCountProfile:
 
     def test_inventory_profile_matches_size(self, french):
         assert count_profile(french).n_types == len(french.segments)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((3, -1, 1, 0), "counts must be non-negative"),
+            ((3, 2, 2, 0), "consonants \\+ vowels exceed total types"),
+            ((3, 1, 1, 2), "more diphthongs than vowels"),
+        ],
+        ids=["negative", "over-total", "diphthongs-over-vowels"],
+    )
+    def test_inconsistent_counts_are_refused(self, counts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CountProfile(*counts)
 
 
 class TestBestMatch:

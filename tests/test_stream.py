@@ -69,6 +69,20 @@ class TestIpaSegment:
         with pytest.raises(FormatError, match="^x.json: .*format character"):
             as_segments(["a", text], "x.json", None)
 
+    @pytest.mark.parametrize("text", ["a\x00b", "a\x07", "\x7f", "\x1bx", "\x80"])
+    def test_rejects_control_characters(self, text):
+        with pytest.raises(ValueError, match=r"^segment '.*' contains a control character$"):
+            seg(text)
+        with pytest.raises(ValueError, match="control character"):
+            coerce_token(text)  # the interned path checks a new text the same way
+        with pytest.raises(FormatError, match="^x.json: .*control character"):
+            as_segments(["a", text], "x.json", None)
+
+    @pytest.mark.parametrize("text", ["a\tb", "a\x85"])
+    def test_whitespace_control_characters_are_whitespace(self, text):
+        with pytest.raises(ValueError, match="contains whitespace"):
+            seg(text)
+
     def test_normalization_is_idempotent(self):
         once = seg("ô")
         assert seg(str(once)) == once
@@ -187,6 +201,22 @@ def test_reserved_literal_named_once_with_file_and_line(load, text):
     message = str(info.value)
     assert message.startswith("x.src: line 4: ") and message.count("x.src: line 4: ") == 1
     assert "reserved boundary literal" in message
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (parse_rule_file, "map:\nb -> b\n\nc -> c\x07\n"),
+        (parse_fold_map, "a -> b\n\n\nb -> \x07\n"),
+        (parse_lexicon, "a\ta\n\n\nc\tc \x07\n"),
+        (parse_syllable_table, "a\ta\n\n\nc\tc\t\x07˥\n"),
+        (_inventory, "1,L,xxx,a,vowel\n\n1,L,xxx,c\x07,consonant\n"),
+    ],
+    ids=["map-entry", "fold-rule", "lexicon-row", "syllable-tone", "inventory-row"],
+)
+def test_control_character_is_named_with_file_and_line(load, text):
+    with pytest.raises(FormatError, match=r"^x\.src: line 4: segment '.*' contains a control"):
+        load(text, source="x.src")
 
 
 def test_syllable_tone_with_whitespace_is_named_with_file_and_line():
